@@ -184,7 +184,7 @@ def cmd_predict(args) -> int:
     summary = en.cumulant_summary(spec)
     pred = fl.clt_prediction(f, spec.profile, summary, spec.beta, check_paths=True)
     out = dict(pred.to_dict())
-    out["V_integral"] = fl.variance_integral(f, spec.profile, summary, spec.beta)
+    out["V_integral"] = pred.integral_variance
     text = json.dumps(out, sort_keys=True)
     print(text)
     if args.out is not None or "output" in cfg:

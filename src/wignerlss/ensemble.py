@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -102,6 +103,14 @@ class EnsembleSpec:
             "diag": self.diag.descriptor(),
         }
 
+    @functools.cached_property
+    def _sampling_scales(self) -> tuple:
+        """(strict upper-triangle mask, off-diagonal and diagonal entry scales), once per spec."""
+        S = self.profile.S
+        upper = np.triu(np.ones(S.shape, dtype=bool), 1)
+        off = S[upper] / 2.0 if self.beta == 2 else S[upper]
+        return upper, np.sqrt(off), np.sqrt(np.diag(S))
+
     def config_hash(self) -> str:
         blob = json.dumps(self.descriptor(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -159,20 +168,19 @@ def sample(spec: EnsembleSpec, seed) -> np.ndarray:
         rng = replica_rng(*seed)
     else:
         rng = replica_rng(int(seed), 0)
-    S = spec.profile.S
     N = spec.N
-    iu = np.triu_indices(N, k=1)
-    n_off = iu[0].size
-    xi = spec.offdiag.sampler(rng, n_off)
+    upper, off_scale, diag_scale = spec._sampling_scales
+    xi = spec.offdiag.sampler(rng, off_scale.size)
     if spec.beta == 1:
         H = np.zeros((N, N))
-        H[iu] = np.sqrt(S[iu]) * xi
-        H = H + H.T
+        xi *= off_scale
     else:
-        xi_im = spec.offdiag.sampler(rng, n_off)
+        xi_im = spec.offdiag.sampler(rng, off_scale.size)
         H = np.zeros((N, N), dtype=complex)
-        H[iu] = np.sqrt(S[iu] / 2.0) * (xi + 1j * xi_im)
-        H = H + H.conj().T
+        xi = off_scale * (xi + 1j * xi_im)
+    # both triangles are written in place, so a draw allocates no second N x N matrix
+    H[upper] = xi
+    H.T[upper] = xi.conj()
     d = spec.diag.sampler(rng, N)
-    H[np.arange(N), np.arange(N)] = np.sqrt(np.diag(S)) * d
+    H[np.arange(N), np.arange(N)] = diag_scale * d
     return H

@@ -20,11 +20,16 @@ _POSITIVITY_FLOOR = -1e-10
 _LAST_DECADE_FRACTION = 1e-9
 _J_CAP = 2048
 _A_EIG_CUTOFF = 1e-14  # deflated eigenvalues below this contribute nothing to g
+_PHI_CHUNK = 256       # deflated eigenvalues per vectorized block of the g-kernel table
 
 
 @dataclass
 class CltPrediction:
-    """(variance, mean shift, cubic coefficient) for one (f, ensemble) pair."""
+    """(variance, mean shift, cubic coefficient) for one (f, ensemble) pair.
+
+    With check_paths, integral_variance holds the integral-route value the series variance
+    was checked against; it stays out of to_dict.
+    """
 
     variance: float
     mean_shift: float
@@ -34,6 +39,7 @@ class CltPrediction:
     J: int = 0
     tail_estimate: float = 0.0
     paths_agree: Optional[bool] = None
+    integral_variance: Optional[float] = None
 
     def __post_init__(self):
         if self.variance < _POSITIVITY_FLOOR:
@@ -95,21 +101,26 @@ def variance_series(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSu
     return float(V)
 
 
-def _pair_kernel_g(x: np.ndarray, a_spectrum: np.ndarray) -> np.ndarray:
-    """g(x,y) from the deflated spectrum: both phase combinations of the boundary transform."""
+def _pair_kernel_g(M: int, a_spectrum: np.ndarray) -> np.ndarray:
+    """g(x_j, x_k) on the M Gauss-Chebyshev nodes x_j = 2 cos(theta_j), theta_j = pi (j + 1/2)/M.
+
+    g(x, y) = phi(m(x) m(y)) + phi(m(x) conj(m(y))), with m = msc_boundary and
+    phi(u) = Re sum_a a u / (1 - a u)^2 over the deflated spectrum a. The nodes carry the
+    structure: msc_boundary(x_j) = -exp(-i theta_j), so m_j m_k = exp(-i pi (j + k + 1)/M)
+    depends only on j + k and m_j conj(m_k) = exp(-i pi (j - k)/M) only on j - k. G is
+    therefore Hankel plus Toeplitz. Since a is real, phi(conj u) = phi(u), so both parts read
+    one table of phi at the 2M angles pi n / M: O(M N) terms, then an O(M^2) index gather.
+    """
     a = a_spectrum[np.abs(a_spectrum) > _A_EIG_CUTOFF]
-    M = x.size
-    G = np.zeros((M, M))
     if a.size == 0:
-        return G
-    mx = np.asarray(msc_boundary(x))
-    cp = np.multiply.outer(mx, mx)
-    cm = np.multiply.outer(mx, mx.conj())
-    for ai in a:
-        up = ai * cp
-        um = ai * cm
-        G += (up / (1.0 - up) ** 2).real + (um / (1.0 - um) ** 2).real
-    return G
+        return np.zeros((M, M))
+    u = np.exp(-1j * np.pi * np.arange(2 * M) / M)
+    phi = np.zeros(2 * M)
+    for lo in range(0, a.size, _PHI_CHUNK):  # bounds the (2M, chunk) complex temporaries
+        au = np.multiply.outer(u, a[lo:lo + _PHI_CHUNK])
+        phi += (au / (1.0 - au) ** 2).real.sum(axis=1)
+    j = np.arange(M)
+    return phi[np.add.outer(j, j) + 1] + phi[np.abs(np.subtract.outer(j, j))]
 
 
 def variance_integral(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary,
@@ -123,7 +134,7 @@ def variance_integral(f: TestFunction, profile: VarianceProfile, summary: Cumula
     dq = np.subtract.outer(F, F) / dX
     np.fill_diagonal(dq, np.asarray(f.derivative(1)(x), dtype=float))
     K1 = float(np.sum(dq * dq * (4.0 - np.multiply.outer(x, x)))) / (2.0 * nodes * nodes)
-    G = _pair_kernel_g(x, profile.a_spectrum)
+    G = _pair_kernel_g(nodes, profile.a_spectrum)
     K2 = float(F @ G @ F) / (nodes * nodes)
     t = cheb_coeffs(f, J=8, M=2048)
     trS = profile.trace
@@ -228,7 +239,7 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
         if details["last_decade_fraction"] <= _LAST_DECADE_FRACTION or J >= _J_CAP:
             break
         J *= 2
-    paths_agree = None
+    paths_agree = Vi = None
     if check_paths:
         Vi = variance_integral(f, profile, summary, beta)
         paths_agree = bool(abs(V - Vi) <= max(1e-5 * abs(V), 1e-7))
@@ -241,4 +252,5 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
         J=t.J,
         tail_estimate=t.tail_estimate,
         paths_agree=paths_agree,
+        integral_variance=Vi,
     )

@@ -4,6 +4,7 @@ k-statistic cumulant estimates, theory-vs-experiment reports, and the max-field 
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -197,10 +198,11 @@ def _max_ratios(sample: sp.SpectralSample, kappa: float, grid_size: int, replica
     )
 
 
-def _replica_outputs(config: RunConfig, r: int) -> dict:
+def _replica_outputs(config: RunConfig, r: int, center: Callable[[], float]) -> dict:
     H = en.sample(config.spec, (config.master_seed, r))
-    s = sp.eigenvalues(H, source=(config.spec.config_hash(), config.master_seed, r))
-    out = {"lss": sp.lss(s, config.f)}
+    s = sp.eigenvalues(H, source=(config.spec.config_hash(), config.master_seed, r),
+                       check_hermitian=False)
+    out = {"lss": sp.lss(s, config.f, center())}
     if config.maxfield is not None:
         out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
     if config.rigidity is not None:
@@ -218,10 +220,21 @@ def run_ensemble(config: RunConfig, threads: int = 1,
     """
     R = config.replicas
     rows = [None] * R
+    lock = threading.Lock()
+    held = []
+
+    def center() -> float:
+        # the lss centering, computed once per run by the first replica to get here; a test
+        # function that fails on it fails inside that replica and is reported with its index
+        with lock:
+            if not held:
+                held.append(sp.centering(config.f))
+            return held[0]
+
     if threads <= 1:
         for r in range(R):
             try:
-                rows[r] = _replica_outputs(config, r)
+                rows[r] = _replica_outputs(config, r, center)
             except Exception as exc:
                 raise NumericalError(
                     f"replica {r} failed (master_seed {config.master_seed}): {exc}") from exc
@@ -229,7 +242,7 @@ def run_ensemble(config: RunConfig, threads: int = 1,
                 progress(r + 1, R)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_replica_outputs, config, r) for r in range(R)]
+            futures = [pool.submit(_replica_outputs, config, r, center) for r in range(R)]
             for r, fut in enumerate(futures):
                 try:
                     rows[r] = fut.result()
@@ -343,7 +356,7 @@ def max_field_experiment(spec: en.EnsembleSpec, kappa: float, E_grid_size: int, 
 
     def worker(r):
         H = en.sample(spec, (master_seed, r))
-        s = sp.eigenvalues(H, source=(spec.config_hash(), master_seed, r))
+        s = sp.eigenvalues(H, source=(spec.config_hash(), master_seed, r), check_hermitian=False)
         return _max_ratios(s, kappa, E_grid_size, r)
 
     quads = [None] * R

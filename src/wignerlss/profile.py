@@ -21,14 +21,18 @@ _RESOLVENT_GUARD = 1e-10
 
 @dataclass(eq=False)
 class VarianceProfile:
-    """S = E|H_ij|^2 with its spectral data; immutable after construction."""
+    """S = E|H_ij|^2 with its spectral data; immutable after construction.
+
+    a_spectrum is derived from spectrum, not from a second eigensolve: S is doubly
+    stochastic, so its Perron eigenvector is e/sqrt(N), and A = S - ee*/N keeps every other
+    eigenpair of S while sending e to 0.
+    """
 
     N: int
     S: np.ndarray
     bounds: tuple            # (c_low, c_high): c_low/N <= S_ij <= c_high/N
     spectrum: np.ndarray     # eigenvalues of S, descending; spectrum[0] = 1
-    eigvecs: np.ndarray      # orthonormal columns matching spectrum order
-    a_spectrum: np.ndarray   # eigenvalues of A = S - ee*/N, descending
+    a_spectrum: np.ndarray   # eigenvalues of A = S - ee*/N: spectrum with 1 -> 0, descending
     descriptor: dict = field(default_factory=dict)
 
     @property
@@ -52,16 +56,13 @@ class VarianceProfile:
         e = np.ones(N)
         if np.max(np.abs(S @ e - e)) > _ROW_SUM_TOL:
             raise ValueError("S must be doubly stochastic: row sums deviate beyond 1e-10")
-        vals, vecs = np.linalg.eigh(S)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        a_vals = np.sort(np.linalg.eigvalsh(S - 1.0 / N))[::-1]
+        vals = np.linalg.eigvalsh(S)[::-1]
+        a_vals = np.sort(np.append(vals[1:], 0.0))[::-1]
         return cls(
             N=N,
             S=S,
             bounds=(float(N * S.min()), float(N * S.max())),
             spectrum=vals,
-            eigvecs=vecs,
             a_spectrum=a_vals,
             descriptor=descriptor or {"type": "matrix", "N": N, "params": {}, "seed": None},
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -16,8 +16,6 @@ _CONSERVATION_TOL = 1e-8   # per-size budget for eigensolver trace identities
 _SUPPORT_LIMIT = 5.0       # test functions are only guaranteed evaluable here
 _CENTERING_NODES = 2048
 _HERMITIAN_TOL = 1e-12
-
-_centering_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -55,27 +53,36 @@ class SpectralSample:
         return self.eigs.size
 
 
-def eigenvalues(H: np.ndarray, source: tuple = ()) -> SpectralSample:
-    """Full ascending spectrum of a Hermitian matrix via a dense symmetric solver."""
+def eigenvalues(H: np.ndarray, source: tuple = (), check_hermitian: bool = True) -> SpectralSample:
+    """Full ascending spectrum of a Hermitian matrix via a dense symmetric solver.
+
+    check_hermitian=False skips the symmetry test, for matrices that ensemble.sample built
+    exactly Hermitian.
+    """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be square")
-    if not np.allclose(H, H.conj().T, rtol=0.0, atol=_HERMITIAN_TOL):
+    if check_hermitian and not np.allclose(H, H.conj().T, rtol=0.0, atol=_HERMITIAN_TOL):
         raise ValueError("H must be Hermitian")
     try:
         eigs = np.linalg.eigvalsh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     trace = float(np.trace(H).real)
-    frob_sq = float(np.sum(np.abs(H) ** 2))
+    frob_sq = float(np.vdot(H, H).real)
     return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq, source=source)
 
 
-def lss(sample: SpectralSample, f: TestFunction) -> float:
+def centering(f: TestFunction) -> float:
+    """int f d(rho_sc) on a 2048-node rule: the per-eigenvalue centering of lss."""
+    return float(sc.integrate_rho_sc(f, nodes=_CENTERING_NODES).real)
+
+
+def lss(sample: SpectralSample, f: TestFunction, center: Optional[float] = None) -> float:
     """Centered linear statistic sum_i f(eig_i) - N int f d(rho_sc).
 
-    The centering integral uses a 2048-node rule and is cached per test function,
-    so sweeping replicas pays for quadrature once.
+    center is centering(f); a run over many replicas computes it once and passes it in.
+    Without it the integral is computed afresh on every call.
     """
     eigs = sample.eigs
     if eigs[0] < -_SUPPORT_LIMIT or eigs[-1] > _SUPPORT_LIMIT:
@@ -83,11 +90,8 @@ def lss(sample: SpectralSample, f: TestFunction) -> float:
             f"eigenvalue outside [-{_SUPPORT_LIMIT}, {_SUPPORT_LIMIT}] "
             f"(min {eigs[0]:.6g}, max {eigs[-1]:.6g}); sampling or solver bug"
         )
-    key = f.cache_key
-    center = _centering_cache.get(key)
     if center is None:
-        center = float(sc.integrate_rho_sc(f, nodes=_CENTERING_NODES).real)
-        _centering_cache[key] = center
+        center = centering(f)
     return float(np.sum(f(eigs)) - sample.N * center)
 
 

@@ -33,12 +33,6 @@ class TestFunction:
     def __call__(self, x):
         return self.fn(x)
 
-    @property
-    def cache_key(self):
-        if self.kind == "smooth":
-            return ("smooth", id(self.fn))
-        return (self.kind, self.params)
-
     def derivative(self, d: int) -> Callable:
         """Order-d derivative as a callable; analytic when available, else central differences."""
         if d == 0:
@@ -134,13 +128,34 @@ def log_imag(E: float, eta: float) -> TestFunction:
                         label=f"logim({E},{eta})")
 
 
+def cheb_t_fn(n: int) -> TestFunction:
+    """T_n as a TestFunction, evaluated stably in the Chebyshev basis (never via monomials)."""
+    if not (n >= 0 and float(n).is_integer()):
+        raise ValueError(f"Chebyshev order must be a non-negative integer, got {n!r}")
+    n = int(n)
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    d1 = _npcheb.chebder(e)
+    d2 = _npcheb.chebder(e, 2)
+    return TestFunction(
+        kind="polynomial",
+        params=("cheb", n),
+        fn=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, e),
+        deriv=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, d1) / 2.0,
+        deriv2=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, d2) / 4.0,
+        label=f"T{n}",
+        compact_support=False,
+    )
+
+
 _NAME_RE = re.compile(r"^([a-z]+)\(([^)]*)\)$")
 
-_BUILTIN_CTORS = {"gauss": gauss_bump, "logre": log_real, "logim": log_imag}
+_BUILTIN_CTORS = {"cheb": cheb_t_fn, "gauss": gauss_bump, "logre": log_real, "logim": log_imag}
 
 
 def from_name(spec) -> TestFunction:
-    """Builtins: "x", "x2", "gauss(center,width)", "logre(E,eta)", "logim(E,eta)"; or a coefficient list."""
+    """Builtins: "x", "x2", "cheb(n)" (T_n, n a non-negative integer), "gauss(center,width)",
+    "logre(E,eta)", "logim(E,eta)"; or a coefficient list."""
     if isinstance(spec, TestFunction):
         return spec
     if isinstance(spec, (list, tuple)):
@@ -173,23 +188,6 @@ def cheb_T(n: int, x):
     for _ in range(n - 1):
         prev, cur = cur, xx * cur - prev
     return cur.item() if scalar_in else cur
-
-
-def cheb_t_fn(n: int) -> TestFunction:
-    """T_n as a TestFunction, evaluated stably in the Chebyshev basis (never via monomials)."""
-    e = np.zeros(n + 1)
-    e[n] = 1.0
-    d1 = _npcheb.chebder(e)
-    d2 = _npcheb.chebder(e, 2)
-    return TestFunction(
-        kind="polynomial",
-        params=("cheb", n),
-        fn=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, e),
-        deriv=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, d1) / 2.0,
-        deriv2=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, d2) / 4.0,
-        label=f"T{n}",
-        compact_support=False,
-    )
 
 
 @dataclass(eq=False)

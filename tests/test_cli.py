@@ -98,6 +98,27 @@ def test_predict_flat_x2(tmp_path, capsys):
     assert on_disk == out
 
 
+def test_predict_cheb(tmp_path, capsys):
+    # T_3 on a flat Gaussian profile: V = 3 t_3^2 tr S^3 / (2 beta) = 3/2 at beta = 1
+    cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: flat, N: 40}
+    testfn: cheb(3)
+    """)
+    assert cli.main(["predict", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["paths_agree"] is True
+    assert out["V"] == pytest.approx(1.5, abs=1e-10)
+    for bad in ("cheb(2.5)", "cheb(-1)", "cheb(inf)"):
+        cfg = write_config(tmp_path, f"""
+        ensemble:
+          profile: {{type: flat, N: 10}}
+        testfn: {bad}
+        """, "bad.yaml")
+        assert cli.main(["predict", "--config", cfg]) == 2
+        assert "Chebyshev order" in capsys.readouterr().err
+
+
 def test_config_errors(tmp_path, capsys):
     bad_top = write_config(tmp_path, BASE + "bogus: 1\n", "t1.yaml")
     assert cli.main(["predict", "--config", bad_top]) == 2

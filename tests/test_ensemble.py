@@ -114,6 +114,36 @@ def test_sample_hermitian_and_deterministic():
         assert np.max(np.abs(np.diag(H1).imag)) == 0.0 if beta == 2 else True
 
 
+def sample_reference(spec, seed):
+    """The same draw built from index arrays and H + H^*, as a bit-exact reference."""
+    rng = en.replica_rng(*seed)
+    S, N = spec.profile.S, spec.N
+    iu = np.triu_indices(N, k=1)
+    xi = spec.offdiag.sampler(rng, iu[0].size)
+    if spec.beta == 1:
+        H = np.zeros((N, N))
+        H[iu] = np.sqrt(S[iu]) * xi
+        H = H + H.T
+    else:
+        xi_im = spec.offdiag.sampler(rng, iu[0].size)
+        H = np.zeros((N, N), dtype=complex)
+        H[iu] = np.sqrt(S[iu] / 2.0) * (xi + 1j * xi_im)
+        H = H + H.conj().T
+    d = spec.diag.sampler(rng, N)
+    H[np.arange(N), np.arange(N)] = np.sqrt(np.diag(S)) * d
+    return H
+
+
+def test_sample_matches_reference():
+    for beta in (1, 2):
+        for p in (pf.profile_band(41, 5), pf.profile_random_ds(30, 2)):
+            for off, dg in ((en.gaussian(), en.two_point(0.1)), (en.rademacher(), en.uniform())):
+                spec = en.EnsembleSpec(beta, p, off, dg)
+                for r in range(3):
+                    H = en.sample(spec, (5, r))
+                    assert H.tobytes() == sample_reference(spec, (5, r)).tobytes()
+
+
 def test_sample_moments():
     p = pf.profile_flat(6)
     spec1 = en.EnsembleSpec(1, p, en.gaussian(), en.gaussian())

@@ -76,14 +76,36 @@ def test_variance_integral_flat_f_x():
     assert fl.variance_integral(FX, p, s, 1) == pytest.approx(p.trace, abs=1e-9)
 
 
+def pair_kernel_g_reference(M, a_spectrum):
+    """g on the M Gauss-Chebyshev nodes by the direct O(N M^2) sum over the deflated spectrum."""
+    a = a_spectrum[np.abs(a_spectrum) > fl._A_EIG_CUTOFF]
+    mx = np.asarray(sc.msc_boundary(sc.gauss_cheb_nodes(M)))
+    cp = np.multiply.outer(mx, mx)
+    cm = np.multiply.outer(mx, mx.conj())
+    G = np.zeros((M, M))
+    for ai in a:
+        up = ai * cp
+        um = ai * cm
+        G += (up / (1.0 - up) ** 2).real + (um / (1.0 - um) ** 2).real
+    return G
+
+
 def test_pair_kernel_g_bounded_and_zero_for_flat():
-    x = np.linspace(-1.9, 1.9, 101)
-    G = fl._pair_kernel_g(x, pf.profile_flat(8).a_spectrum)
+    G = fl._pair_kernel_g(101, pf.profile_flat(8).a_spectrum)
     assert np.max(np.abs(G)) == 0.0
     p = pf.profile_band(40, 6)
-    G = fl._pair_kernel_g(x, p.a_spectrum)
+    G = fl._pair_kernel_g(101, p.a_spectrum)
     bound = np.sum(np.abs(p.a_spectrum)) * 2.0 / pf.validate(p)["spectral_gap"] ** 2
     assert np.max(np.abs(G)) <= bound
+
+
+def test_pair_kernel_g_matches_reference():
+    for p in (pf.profile_band(40, 6), pf.profile_random_ds(120, 7, roughness=0.8)):
+        for M in (1, 2, 7, 64, 400):
+            G = fl._pair_kernel_g(M, p.a_spectrum)
+            ref = pair_kernel_g_reference(M, p.a_spectrum)
+            assert G.shape == (M, M)
+            assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref)), (p.N, M)
 
 
 def test_positivity_random_configs():

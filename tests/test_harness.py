@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -147,6 +149,30 @@ def test_run_ensemble_replica_failure_reports_index():
     object.__setattr__(cfg, "f", tf.smooth(boom, label="boom"))
     with pytest.raises(NumericalError, match="replica 0"):
         hn.run_ensemble(cfg)
+
+
+def test_run_ensemble_centering_computed_once(monkeypatch):
+    # pool threads share one centering per run: a lost check-then-fill shows as a second call
+    calls = []
+    real = sp.centering
+
+    def counted(f):
+        calls.append(f)
+        time.sleep(0.01)
+        return real(f)
+
+    monkeypatch.setattr(hn.sp, "centering", counted)
+    cfg = small_config(N=6, R=16, lambda_grid=(0.0,))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial = hn.run_ensemble(cfg, threads=1)
+        assert len(calls) == 1
+        pooled = hn.run_ensemble(cfg, threads=8)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(calls) == 2
+    assert pooled.to_json() == serial.to_json()
 
 
 def synthetic_result(R=20000, V=2.0, E=0.3, B=0.0, seed=1):

@@ -79,12 +79,25 @@ def test_lss_support_guard():
         sp.lss(s, F_X)
 
 
-def test_lss_centering_cached():
+def test_lss_centering_passed_in():
     s = synthetic([0.1, -0.2, 0.4])
     f = tf.gauss_bump(0.1, 0.5)
     v1 = sp.lss(s, f)
-    assert f.cache_key in sp._centering_cache
+    assert sp.lss(s, f, sp.centering(f)) == v1
     assert sp.lss(s, f) == v1
+
+
+def test_lss_centering_follows_a_new_function():
+    # a freed function's id is often reused by the next one; the centering must not follow it
+    # (whether it is reused depends on the allocator's state, so the scenario repeats)
+    s = synthetic(np.linspace(-1.9, 1.9, 50))
+    for _ in range(20):
+        f = tf.gauss_bump(0.0, 0.3)
+        sp.lss(s, f)
+        del f
+        g = tf.gauss_bump(1.0, 0.7)
+        fresh = float(sc.integrate_rho_sc(g, nodes=2048).real)
+        assert sp.lss(s, g) == float(np.sum(g(s.eigs)) - s.N * fresh)
 
 
 def test_field_eta0_counting():
