@@ -120,27 +120,47 @@ def _testfn_from_config(v) -> tf.TestFunction:
         raise ConfigError(f"bad testfn: {exc}") from exc
 
 
-def _run_config(cfg: dict, spec: en.EnsembleSpec, f: tf.TestFunction, args) -> hn.RunConfig:
+def _run_section(cfg: dict) -> dict:
     d = _need_mapping(_require(cfg, "run"), "run")
     _check_keys(d, _RUN_KEYS, "run")
-    replicas = args.replicas if args.replicas is not None else d.get("replicas")
+    return d
+
+
+def _replicas_and_seed(d: dict, args, default=None) -> tuple:
+    """Replica count and master seed: flags over the run section, replicas capped by --quick."""
+    replicas = args.replicas if args.replicas is not None else d.get("replicas", default)
     if replicas is None:
         raise ConfigError("run.replicas is required (or pass --replicas)")
-    replicas = int(replicas)
+    try:
+        replicas = int(replicas)
+        seed = args.seed if args.seed is not None else int(d.get("master_seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad run section: {exc}") from exc
     if args.quick:
-        replicas = min(replicas, max(_QUICK_REPLICAS, 4))
-    seed = args.seed if args.seed is not None else int(d.get("master_seed", 0))
+        replicas = min(replicas, _QUICK_REPLICAS)
+    return replicas, seed
+
+
+def _maxfield_from_config(m, quick: bool) -> tuple:
+    """(kappa, grid size) from run.maxfield, the grid capped by --quick; ranges are the harness's."""
+    m = _need_mapping(m, "run.maxfield")
+    _check_keys(m, _MAXFIELD_KEYS, "run.maxfield")
+    if "kappa" not in m or "grid" not in m:
+        raise ConfigError("run.maxfield needs kappa and grid")
+    try:
+        kappa, grid = float(m["kappa"]), int(m["grid"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad run.maxfield: {exc}") from exc
+    return kappa, min(grid, _QUICK_GRID) if quick else grid
+
+
+def _run_config(cfg: dict, spec: en.EnsembleSpec, f: tf.TestFunction, args) -> hn.RunConfig:
+    d = _run_section(cfg)
+    replicas, seed = _replicas_and_seed(d, args)
     lam = d.get("lambda_grid", [0.0, 0.25, 0.5, 1.0])
     maxfield = None
     if d.get("maxfield") is not None:
-        m = _need_mapping(d["maxfield"], "run.maxfield")
-        _check_keys(m, _MAXFIELD_KEYS, "run.maxfield")
-        if "kappa" not in m or "grid" not in m:
-            raise ConfigError("run.maxfield needs kappa and grid")
-        grid = int(m["grid"])
-        if args.quick:
-            grid = min(grid, _QUICK_GRID)
-        maxfield = (float(m["kappa"]), grid)
+        maxfield = _maxfield_from_config(d["maxfield"], args.quick)
     try:
         return hn.RunConfig(
             spec=spec, f=f, replicas=replicas, master_seed=seed,
@@ -220,7 +240,9 @@ def cmd_verify(args) -> int:
     if res.kstats is None:
         raise ConfigError("verify needs run.replicas >= 4")
     report = hn.compare(res)
-    report["prediction"] = res.prediction.to_dict()
+    full = res.to_dict()
+    report["prediction"] = full["prediction"]
+    report.update({k: full[k] for k in ("maxfield", "rigidity") if k in full})
     text = json.dumps(report, sort_keys=True)
     (_outdir(args, cfg) / "report.json").write_text(text + "\n")
     print(text)
@@ -230,20 +252,16 @@ def cmd_verify(args) -> int:
 def cmd_maxpoly(args) -> int:
     cfg = load_config(args.config)
     spec = _ensemble_from_config(_require(cfg, "ensemble"), args.quick)
-    d = _need_mapping(_require(cfg, "run"), "run")
-    _check_keys(d, _RUN_KEYS, "run")
+    d = _run_section(cfg)
     if d.get("maxfield") is None:
         raise ConfigError("maxpoly needs a run.maxfield section")
-    m = _need_mapping(d["maxfield"], "run.maxfield")
-    _check_keys(m, _MAXFIELD_KEYS, "run.maxfield")
-    kappa, grid = float(m["kappa"]), int(m["grid"])
-    replicas = args.replicas if args.replicas is not None else int(d.get("replicas", 20))
-    seed = args.seed if args.seed is not None else int(d.get("master_seed", 0))
-    if args.quick:
-        replicas = min(replicas, _QUICK_REPLICAS)
-        grid = min(grid, _QUICK_GRID)
-    out = hn.max_field_experiment(spec, kappa, grid, replicas, master_seed=seed,
-                                  threads=args.threads, progress=_progress)
+    kappa, grid = _maxfield_from_config(d["maxfield"], args.quick)
+    replicas, seed = _replicas_and_seed(d, args, default=20)
+    try:
+        out = hn.max_field_experiment(spec, kappa, grid, replicas, master_seed=seed,
+                                      threads=args.threads, progress=_progress)
+    except ValueError as exc:   # argument ranges; a failing replica raises NumericalError
+        raise ConfigError(f"bad run section: {exc}") from exc
     for r, e in out["collisions"]:
         print(f"collision: replica {r} grid point {e!r} nudged by 1e-9", file=sys.stderr)
     outdir = _outdir(args, cfg)

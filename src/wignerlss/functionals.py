@@ -35,7 +35,6 @@ class CltPrediction:
     mean_shift: float
     cubic: float
     beta: int
-    provenance: str = "series"
     J: int = 0
     tail_estimate: float = 0.0
     paths_agree: Optional[bool] = None
@@ -248,7 +247,6 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
         mean_shift=mean_correction(f, profile, summary, beta),
         cubic=cubic_term(t, summary),
         beta=beta,
-        provenance="series",
         J=t.J,
         tail_estimate=t.tail_estimate,
         paths_agree=paths_agree,

@@ -28,6 +28,15 @@ def lambda_window(N: int) -> float:
     return _LAMBDA_WINDOW_CONST * N ** 0.4
 
 
+def _maxfield_params(kappa: float, grid_size: int) -> tuple:
+    """The max-field experiment's (kappa, grid size), range-checked."""
+    if not 0.0 < kappa < 1.0:
+        raise ValueError("maxfield kappa must be in (0, 1)")
+    if int(grid_size) < 100:
+        raise ValueError("maxfield grid must have >= 100 points")
+    return float(kappa), int(grid_size)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One batch: ensemble, test function, replica count, seed, and experiment flags.
@@ -51,12 +60,7 @@ class RunConfig:
             raise ValueError("lambda_grid must be finite")
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in lam))
         if self.maxfield is not None:
-            kappa, grid_size = self.maxfield
-            if not 0.0 < kappa < 1.0:
-                raise ValueError("maxfield kappa must be in (0, 1)")
-            if int(grid_size) < 100:
-                raise ValueError("maxfield grid must have >= 100 points")
-            object.__setattr__(self, "maxfield", (float(kappa), int(grid_size)))
+            object.__setattr__(self, "maxfield", _maxfield_params(*self.maxfield))
         if self.rigidity is not None and not 0.0 < self.rigidity < 0.5:
             raise ValueError("rigidity kappa must be in (0, 1/2)")
 
@@ -198,17 +202,46 @@ def _max_ratios(sample: sp.SpectralSample, kappa: float, grid_size: int, replica
     )
 
 
-def _replica_outputs(config: RunConfig, r: int, center: Callable[[], float]) -> dict:
-    H = en.sample(config.spec, (config.master_seed, r))
-    s = sp.eigenvalues(H, source=(config.spec.config_hash(), config.master_seed, r),
-                       check_hermitian=False)
-    out = {"lss": sp.lss(s, config.f, center())}
-    if config.maxfield is not None:
-        out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
-    if config.rigidity is not None:
-        st = sp.rigidity_stats(s, config.rigidity)
-        out["rigidity"] = (st.max_stat, st.min_stat)
-    return out
+def _max_columns(quads: list) -> tuple:
+    """Per-replica _max_ratios quads as (re, im_plus, im_minus) arrays and one collision tuple."""
+    return (
+        np.array([q[0] for q in quads]),
+        np.array([q[1] for q in quads]),
+        np.array([q[2] for q in quads]),
+        tuple(c for q in quads for c in q[3]),
+    )
+
+
+def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
+                  stat: Callable[[sp.SpectralSample, int], object], threads: int,
+                  progress: Optional[Callable[[int, int], None]]) -> list:
+    """stat(spectrum, r) of replicas r = 0..R-1, returned in replica order.
+
+    Replica r is drawn from the Philox stream keyed by (master_seed, r), so the results do
+    not depend on the thread count. The first failing replica, in index order, raises
+    NumericalError naming it and the seed; queued replicas are cancelled first.
+    """
+    def one(r):
+        H = en.sample(spec, (master_seed, r))
+        s = sp.eigenvalues(H, source=(spec.config_hash(), master_seed, r), check_hermitian=False)
+        return stat(s, r)
+
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    rows = []
+    try:
+        futures = [pool.submit(one, r) for r in range(R)] if pool else None
+        for r in range(R):
+            try:
+                rows.append(futures[r].result() if pool else one(r))
+            except Exception as exc:
+                raise NumericalError(
+                    f"replica {r} failed (master_seed {master_seed}): {exc}") from exc
+            if progress is not None:
+                progress(r + 1, R)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return rows
 
 
 def run_ensemble(config: RunConfig, threads: int = 1,
@@ -218,8 +251,6 @@ def run_ensemble(config: RunConfig, threads: int = 1,
     Per-replica RNG is derived from (master_seed, replica index) by counter, and results
     are collected in index order, so the output is independent of thread count.
     """
-    R = config.replicas
-    rows = [None] * R
     lock = threading.Lock()
     held = []
 
@@ -231,27 +262,17 @@ def run_ensemble(config: RunConfig, threads: int = 1,
                 held.append(sp.centering(config.f))
             return held[0]
 
-    if threads <= 1:
-        for r in range(R):
-            try:
-                rows[r] = _replica_outputs(config, r, center)
-            except Exception as exc:
-                raise NumericalError(
-                    f"replica {r} failed (master_seed {config.master_seed}): {exc}") from exc
-            if progress is not None:
-                progress(r + 1, R)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_replica_outputs, config, r, center) for r in range(R)]
-            for r, fut in enumerate(futures):
-                try:
-                    rows[r] = fut.result()
-                except Exception as exc:
-                    raise NumericalError(
-                        f"replica {r} failed (master_seed {config.master_seed}): {exc}") from exc
-                if progress is not None:
-                    progress(r + 1, R)
+    def stat(s: sp.SpectralSample, r: int) -> dict:
+        out = {"lss": sp.lss(s, config.f, center())}
+        if config.maxfield is not None:
+            out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
+        if config.rigidity is not None:
+            st = sp.rigidity_stats(s, config.rigidity)
+            out["rigidity"] = (st.max_stat, st.min_stat)
+        return out
 
+    R = config.replicas
+    rows = _map_replicas(config.spec, config.master_seed, R, stat, threads, progress)
     lss_samples = np.array([row["lss"] for row in rows])
     summary = en.cumulant_summary(config.spec)
     prediction = fl.clt_prediction(config.f, config.spec.profile, summary, config.spec.beta)
@@ -263,11 +284,8 @@ def run_ensemble(config: RunConfig, threads: int = 1,
         prediction=prediction,
     )
     if config.maxfield is not None:
-        quads = [row["max"] for row in rows]
-        result.max_re = np.array([q[0] for q in quads])
-        result.max_im_plus = np.array([q[1] for q in quads])
-        result.max_im_minus = np.array([q[2] for q in quads])
-        result.collisions = tuple(c for q in quads for c in q[3])
+        (result.max_re, result.max_im_plus, result.max_im_minus,
+         result.collisions) = _max_columns([row["max"] for row in rows])
     if config.rigidity is not None:
         pairs = [row["rigidity"] for row in rows]
         result.rigidity_max = np.array([p[0] for p in pairs])
@@ -349,41 +367,14 @@ def max_field_experiment(spec: en.EnsembleSpec, kappa: float, E_grid_size: int, 
                          master_seed: int = 0, threads: int = 1,
                          progress: Optional[Callable[[int, int], None]] = None) -> dict:
     """Distribution of sup Re L / (sqrt2 log N) and the two Im analogues over R replicas."""
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("kappa must be in (0, 1)")
-    if E_grid_size < 100:
-        raise ValueError("E_grid_size must be >= 100")
-
-    def worker(r):
-        H = en.sample(spec, (master_seed, r))
-        s = sp.eigenvalues(H, source=(spec.config_hash(), master_seed, r), check_hermitian=False)
-        return _max_ratios(s, kappa, E_grid_size, r)
-
-    quads = [None] * R
-    if threads <= 1:
-        for r in range(R):
-            try:
-                quads[r] = worker(r)
-            except Exception as exc:
-                raise NumericalError(f"replica {r} failed (master_seed {master_seed}): {exc}") from exc
-            if progress is not None:
-                progress(r + 1, R)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(worker, r) for r in range(R)]
-            for r, fut in enumerate(futures):
-                try:
-                    quads[r] = fut.result()
-                except Exception as exc:
-                    raise NumericalError(f"replica {r} failed (master_seed {master_seed}): {exc}") from exc
-                if progress is not None:
-                    progress(r + 1, R)
-    return {
-        "re_ratio": np.array([q[0] for q in quads]),
-        "im_plus_ratio": np.array([q[1] for q in quads]),
-        "im_minus_ratio": np.array([q[2] for q in quads]),
-        "collisions": tuple(c for q in quads for c in q[3]),
-    }
+    kappa, E_grid_size = _maxfield_params(kappa, E_grid_size)
+    if R < 1:
+        raise ValueError("replicas must be >= 1")
+    quads = _map_replicas(spec, master_seed, R,
+                          lambda s, r: _max_ratios(s, kappa, E_grid_size, r), threads, progress)
+    re, im_plus, im_minus, collisions = _max_columns(quads)
+    return {"re_ratio": re, "im_plus_ratio": im_plus, "im_minus_ratio": im_minus,
+            "collisions": collisions}
 
 
 def samples_to_csv(path, samples: np.ndarray) -> None:

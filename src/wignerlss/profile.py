@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -183,10 +181,6 @@ def profile_from_csv(path) -> VarianceProfile:
     )
 
 
-def profile_to_json(profile: VarianceProfile, path) -> None:
-    Path(path).write_text(json.dumps(profile.descriptor, sort_keys=True))
-
-
 def profile_from_descriptor(d: dict) -> VarianceProfile:
     """Rebuild a profile from its {type, N, params, seed} descriptor."""
     kind = d.get("type")
@@ -200,7 +194,3 @@ def profile_from_descriptor(d: dict) -> VarianceProfile:
     if kind == "csv":
         return profile_from_csv(params["path"])
     raise ValueError(f"unknown profile type {kind!r}")
-
-
-def profile_from_json(path) -> VarianceProfile:
-    return profile_from_descriptor(json.loads(Path(path).read_text()))

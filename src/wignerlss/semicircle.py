@@ -42,13 +42,6 @@ def msc_boundary(x) -> complex:
     return _maybe_scalar(m, scalar_in)
 
 
-def msc_diff_quotient(z: complex, w: complex) -> complex:
-    """(msc(z) - msc(w)) / (z - w) for distinct off-axis points."""
-    if z == w:
-        raise ValueError("msc_diff_quotient requires z != w (use m^2/(1-m^2) for the derivative)")
-    return (msc(z) - msc(w)) / (z - w)
-
-
 def rho_sc(x) -> float:
     """Semicircle density sqrt((4 - x^2)_+) / (2 pi); zero outside [-2, 2]."""
     scalar_in = np.isscalar(x) or np.ndim(x) == 0

@@ -181,13 +181,3 @@ def empirical_stieltjes(sample: SpectralSample, z):
     if scalar_in:
         return complex(out[0])
     return out
-
-
-def field_to_csv(path, E_grid: np.ndarray, values: np.ndarray) -> None:
-    """Dump one replica's field as rows E, Re L, Im L."""
-    E_grid = np.asarray(E_grid, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if E_grid.shape != values.shape:
-        raise ValueError("grid and field shapes differ")
-    rows = np.column_stack([E_grid, values.real, values.imag])
-    np.savetxt(path, rows, delimiter=",", fmt="%.17g", header="E,ReL,ImL", comments="")

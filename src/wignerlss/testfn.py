@@ -11,7 +11,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as _npcheb
 from numpy.polynomial import polynomial as _nppoly
 from scipy.fft import dct
-from scipy.integrate import IntegrationWarning, quad
 
 from .semicircle import gauss_cheb_nodes, msc
 
@@ -272,6 +271,8 @@ def reconstruct(t, x):
 
 def weighted_norm(f: TestFunction, d: int = 0, p: float = 1.0) -> float:
     """(int_{-5}^{5} |f^(d)(x)|^p / sqrt|4 - x^2| dx)^(1/p), endpoint singularities substituted away."""
+    from scipy.integrate import IntegrationWarning, quad  # slow to import; no CLI command calls this
+
     if p <= 0:
         raise ValueError("p must be positive")
     g = f.derivative(d)

@@ -182,6 +182,25 @@ def test_verify_pass(tmp_path, capsys):
     assert json.loads((tmp_path / "v" / "report.json").read_text()) == report
 
 
+def test_verify_reports_maxfield_and_rigidity(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: flat, N: 120}
+    testfn: x
+    run:
+      replicas: 4
+      master_seed: 3
+      maxfield: {kappa: 0.2, grid: 150}
+      rigidity: 0.1
+    """)
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) in (0, 1)
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    assert len(report["maxfield"]["re_ratio"]) == 4
+    assert all(v > 0.0 for v in report["maxfield"]["im_plus_ratio"])
+    assert len(report["rigidity"]["max"]) == 4
+
+
 def test_verify_fails_on_inflated_variance(tmp_path, capsys, monkeypatch):
     real = fl.clt_prediction
 
@@ -224,6 +243,30 @@ def test_maxpoly(tmp_path, capsys):
     assert rows[0] == "re_ratio,im_plus_ratio,im_minus_ratio"
     assert len(rows) == 4
     assert json.loads((out / "maxpoly.json").read_text()) == summary
+
+
+MAXPOLY = """
+ensemble:
+  profile: {type: flat, N: 40}
+run:
+  replicas: 3
+  master_seed: 2
+  maxfield: {kappa: 0.3, grid: 400}
+"""
+
+
+@pytest.mark.parametrize("maxfield", ["{kappa: 1.5, grid: 400}", "{kappa: 0.3, grid: 50}"])
+def test_maxpoly_rejects_out_of_range_maxfield(tmp_path, capsys, maxfield):
+    cfg = write_config(tmp_path, MAXPOLY.replace("{kappa: 0.3, grid: 400}", maxfield))
+    assert cli.main(["maxpoly", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_maxpoly_rejects_zero_replicas(tmp_path, capsys):
+    cfg = write_config(tmp_path, MAXPOLY.replace("replicas: 3", "replicas: 0"))
+    assert cli.main(["maxpoly", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "maxpoly.json").exists()
 
 
 def test_maxpoly_needs_maxfield_section(tmp_path, capsys):

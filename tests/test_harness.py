@@ -151,6 +151,32 @@ def test_run_ensemble_replica_failure_reports_index():
         hn.run_ensemble(cfg)
 
 
+def test_failing_replica_cancels_the_rest(monkeypatch):
+    # replica 0 fails at once; the queued replicas behind it must not all be drawn
+    real = en.sample
+    calls = []
+
+    def counted(spec, key):
+        calls.append(key)
+        if key[1] == 0:
+            raise RuntimeError("bad draw")
+        return real(spec, key)
+
+    monkeypatch.setattr(hn.en, "sample", counted)
+    R = 200
+    cfg = small_config(N=40, R=R, seed=5, lambda_grid=(0.0,))
+    runs = {
+        "run_ensemble": lambda: hn.run_ensemble(cfg, threads=2),
+        "max_field_experiment": lambda: hn.max_field_experiment(
+            cfg.spec, kappa=0.3, E_grid_size=150, R=R, master_seed=5, threads=2),
+    }
+    for name, run in runs.items():
+        calls.clear()
+        with pytest.raises(NumericalError, match=r"replica 0 failed \(master_seed 5\): bad draw"):
+            run()
+        assert len(calls) < R // 4, (name, len(calls))
+
+
 def test_run_ensemble_centering_computed_once(monkeypatch):
     # pool threads share one centering per run: a lost check-then-fill shows as a second call
     calls = []

@@ -131,11 +131,9 @@ def test_csv_roundtrip(tmp_path):
     assert q.descriptor["type"] == "csv"
 
 
-def test_descriptor_roundtrip(tmp_path):
+def test_descriptor_roundtrip():
     p = random_profile(10, 77, roughness=0.3)
-    path = tmp_path / "p.json"
-    pf.profile_to_json(p, path)
-    q = pf.profile_from_json(path)
+    q = pf.profile_from_descriptor(p.descriptor)
     assert np.array_equal(p.S, q.S)
     with pytest.raises(ValueError):
         pf.profile_from_descriptor({"type": "nope"})

@@ -64,33 +64,6 @@ def test_msc_boundary_matches_eta_limit():
     assert np.max(np.abs(lim - sc.msc_boundary(x))) < 1e-8
 
 
-def test_msc_diff_quotient_identity():
-    z, w = 2j, 1j
-    mz, mw = sc.msc(z), sc.msc(w)
-    expect = mz * mw / (1.0 - mz * mw)
-    assert sc.msc_diff_quotient(z, w) == pytest.approx(expect, rel=1e-12)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        z = complex(rng.uniform(-3, 3), rng.uniform(0.05, 2) * rng.choice([-1, 1]))
-        w = complex(rng.uniform(-3, 3), rng.uniform(0.05, 2) * rng.choice([-1, 1]))
-        if z == w:
-            continue
-        mz, mw = sc.msc(z), sc.msc(w)
-        got = sc.msc_diff_quotient(z, w)
-        assert got == pytest.approx(mz * mw / (1.0 - mz * mw), rel=1e-10)
-        assert abs(got) <= 4.0 / (abs(z.imag) + abs(w.imag))
-
-
-def test_msc_diff_quotient_conjugate_pair_real():
-    v = sc.msc_diff_quotient(-1j, 1j)
-    assert abs(v.imag) < 1e-14
-
-
-def test_msc_diff_quotient_rejects_equal():
-    with pytest.raises(ValueError):
-        sc.msc_diff_quotient(1j, 1j)
-
-
 def test_rho_sc_values():
     assert sc.rho_sc(0.0) == pytest.approx(1.0 / np.pi, abs=1e-15)
     assert sc.rho_sc(2.0) == 0.0

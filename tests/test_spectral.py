@@ -234,15 +234,3 @@ def test_stieltjes_matches_semicircle():
         m = sp.empirical_stieltjes(s, 2.0j)
         hits += abs(m - sc.msc(2.0j)) <= bound
     assert hits >= 19
-
-
-def test_field_csv_roundtrip(tmp_path):
-    s = draw(N=30, seed=1)
-    grid = np.linspace(-1, 1, 9)
-    vals = sp.log_char_field(s, grid, 0.1)
-    path = tmp_path / "field.csv"
-    sp.field_to_csv(path, grid, vals)
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(back[:, 0], grid)
-    assert np.array_equal(back[:, 1], vals.real)
-    assert np.array_equal(back[:, 2], vals.imag)
