@@ -4,115 +4,23 @@ matrices, with a seeded Monte Carlo harness to verify them.
 Layers: semicircle (closed forms), testfn (Chebyshev expansions), profile (variance
 profiles S), ensemble (entry distributions and sampling), functionals (V, E, B and the
 log-field kernels), spectral (per-sample quantities), harness (replica orchestration),
-cli (batch front end).
+cli (batch front end). The top level exports the names of the README quick start and the
+config builders; everything else is imported from its layer module, e.g.
+`from wignerlss import spectral`.
 """
 
 from .errors import ConfigError, NumericalError
-from .semicircle import (
-    classical_location,
-    classical_locations,
-    log_potential,
-    log_potential_quad,
-    msc,
-    msc_boundary,
-    rho_sc,
-    sc_cdf,
-)
-from .testfn import (
-    ChebCoeffs,
-    TestFunction,
-    cheb_T,
-    cheb_coeffs,
-    cheb_t_fn,
-    from_name,
-    gauss_bump,
-    log_imag,
-    log_real,
-    log_test_coeffs,
-    polynomial,
-    reconstruct,
-    smooth,
-    weighted_norm,
-)
-from .profile import (
-    VarianceProfile,
-    profile_band,
-    profile_flat,
-    profile_from_csv,
-    profile_from_descriptor,
-    profile_random_ds,
-    resolvent_trace,
-    trace_powers,
-    validate,
-)
-from .ensemble import (
-    CumulantSummary,
-    EnsembleSpec,
-    EntryDistribution,
-    cumulant_summary,
-    entry_from_config,
-    gaussian,
-    rademacher,
-    replica_rng,
-    sample,
-    two_point,
-    uniform,
-)
-from .functionals import (
-    CltPrediction,
-    PredictedCumulants,
-    clt_prediction,
-    cubic_term,
-    gbe_log_variance,
-    log_pair_kernel,
-    mean_correction,
-    predicted_char,
-    predicted_cumulants,
-    variance_integral,
-    variance_series,
-)
-from .spectral import (
-    RigidityStats,
-    SpectralSample,
-    eigenvalues,
-    empirical_stieltjes,
-    log_char_field,
-    lss,
-    rigidity_stats,
-)
-from .harness import (
-    CumulantEstimates,
-    RunConfig,
-    RunResult,
-    compare,
-    cumulant_estimates,
-    empirical_char,
-    lambda_window,
-    max_field_experiment,
-    run_ensemble,
-)
+from .testfn import from_name
+from .profile import profile_flat, profile_from_descriptor
+from .ensemble import EnsembleSpec, cumulant_summary, entry_from_config, gaussian, sample, two_point
+from .functionals import clt_prediction
+from .harness import RunConfig, compare, run_ensemble
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "NumericalError",
-    "classical_location", "classical_locations", "log_potential", "log_potential_quad",
-    "msc", "msc_boundary", "rho_sc", "sc_cdf",
-    "ChebCoeffs", "TestFunction", "cheb_T", "cheb_coeffs", "cheb_t_fn", "from_name",
-    "gauss_bump", "log_imag", "log_real", "log_test_coeffs", "polynomial",
-    "reconstruct", "smooth", "weighted_norm",
-    "VarianceProfile", "profile_band", "profile_flat", "profile_from_csv",
-    "profile_from_descriptor", "profile_random_ds", "resolvent_trace", "trace_powers",
-    "validate",
-    "CumulantSummary", "EnsembleSpec", "EntryDistribution", "cumulant_summary",
-    "entry_from_config", "gaussian", "rademacher", "replica_rng", "sample",
-    "two_point", "uniform",
-    "CltPrediction", "PredictedCumulants", "clt_prediction", "cubic_term",
-    "gbe_log_variance", "log_pair_kernel", "mean_correction", "predicted_char",
-    "predicted_cumulants", "variance_integral", "variance_series",
-    "RigidityStats", "SpectralSample", "eigenvalues", "empirical_stieltjes",
-    "log_char_field", "lss", "rigidity_stats",
-    "CumulantEstimates", "RunConfig", "RunResult", "compare", "cumulant_estimates",
-    "empirical_char", "lambda_window", "max_field_experiment", "run_ensemble",
-    "__version__",
+    "EnsembleSpec", "RunConfig", "clt_prediction", "compare", "cumulant_summary",
+    "gaussian", "profile_flat", "run_ensemble", "two_point", "from_name",
+    "entry_from_config", "profile_from_descriptor", "sample",
+    "ConfigError", "NumericalError", "__version__",
 ]

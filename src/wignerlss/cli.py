@@ -72,20 +72,19 @@ def _profile_from_config(d, quick: bool) -> pf.VarianceProfile:
     d = dict(_need_mapping(d, "profile"))
     _check_keys(d, _PROFILE_KEYS, "profile")
     kind = d.get("type")
-    if kind not in _PROFILE_PARAM_KEYS:
+    if not isinstance(kind, str) or kind not in _PROFILE_PARAM_KEYS:
         raise ConfigError(f"profile.type must be one of {sorted(_PROFILE_PARAM_KEYS)}, got {kind!r}")
     params = _need_mapping(d.get("params", {}), "profile.params")
     _check_keys(params, _PROFILE_PARAM_KEYS[kind], f"profile.params ({kind})")
-    if kind != "csv":
-        if "N" not in d:
-            raise ConfigError(f"profile.N is required for type {kind!r}")
-        if quick:
-            d["N"] = min(int(d["N"]), _QUICK_N)
+    if kind != "csv" and "N" not in d:
+        raise ConfigError(f"profile.N is required for type {kind!r}")
     if kind == "random" and "seed" not in d:
         raise ConfigError("profile.seed is required for type 'random'")
     try:
+        if quick and kind != "csv":
+            d["N"] = min(int(d["N"]), _QUICK_N)
         return pf.profile_from_descriptor(d)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad profile: {exc}") from exc
 
 

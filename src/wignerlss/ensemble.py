@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,10 +62,11 @@ _FAMILIES = {"gaussian": gaussian, "rademacher": rademacher, "uniform": uniform}
 
 
 def entry_from_config(cfg) -> EntryDistribution:
-    if isinstance(cfg, EntryDistribution):
-        return cfg
+    """Entry law from a family name or a {family, p} mapping."""
     if isinstance(cfg, str):
         cfg = {"family": cfg}
+    if not isinstance(cfg, dict):
+        raise TypeError(f"entry law must be a family name or a mapping, got {type(cfg).__name__}")
     family = cfg.get("family")
     if family == "two_point":
         if "p" not in cfg:
@@ -111,43 +110,27 @@ class EnsembleSpec:
         off = S[upper] / 2.0 if self.beta == 2 else S[upper]
         return upper, np.sqrt(off), np.sqrt(np.diag(S))
 
-    def config_hash(self) -> str:
-        blob = json.dumps(self.descriptor(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
 
 @dataclass(frozen=True)
 class CumulantSummary:
-    """Aggregate entry cumulants entering the CLT functionals, in both normalizations."""
+    """Aggregate entry cumulants entering the CLT functionals."""
 
-    beta: int
-    kappa3_diag_sum: float        # sum_i kappa3(H_ii) = sum_i S_ii^{3/2} kappa3(diag)
-    kappa4_sum: float             # beta-dependent aggregate fourth cumulant
-    kappa3_diag_scaled: float     # sqrt(N) * kappa3_diag_sum
-    kappa4_offdiag_scaled: float  # off-diagonal part in the entry-normalized scaling
+    kappa3_diag_sum: float  # sum_i kappa3(H_ii) = sum_i S_ii^{3/2} kappa3(diag)
+    kappa4_sum: float       # beta-dependent aggregate fourth cumulant
 
 
 def cumulant_summary(spec: EnsembleSpec) -> CumulantSummary:
     S = spec.profile.S
-    N = spec.N
     diag = np.diag(S)
     off_sq = float(np.sum(S * S) - np.sum(diag * diag))  # sum_{i != j} S_ij^2
     diag_sq = float(np.sum(diag * diag))
     k3 = float(spec.diag.kappa3 * np.sum(diag ** 1.5))
     if spec.beta == 1:
         k4 = spec.offdiag.kappa4 * off_sq + spec.diag.kappa4 * diag_sq
-        k4_off_scaled = spec.offdiag.kappa4 * off_sq
     else:
         # Re and Im parts each carry (S_ij/2)^2 kappa4; diagonal enters with weight 1/2
         k4 = 0.5 * spec.offdiag.kappa4 * off_sq + 0.5 * spec.diag.kappa4 * diag_sq
-        k4_off_scaled = 0.5 * spec.offdiag.kappa4 * off_sq
-    return CumulantSummary(
-        beta=spec.beta,
-        kappa3_diag_sum=k3,
-        kappa4_sum=float(k4),
-        kappa3_diag_scaled=float(np.sqrt(N) * k3),
-        kappa4_offdiag_scaled=float(k4_off_scaled),
-    )
+    return CumulantSummary(kappa3_diag_sum=k3, kappa4_sum=float(k4))
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -156,18 +139,13 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample(spec: EnsembleSpec, seed) -> np.ndarray:
-    """Draw one Hermitian matrix H with E|H_ij|^2 = S_ij; deterministic per (spec, seed).
+def sample(spec: EnsembleSpec, key: tuple) -> np.ndarray:
+    """Draw one Hermitian matrix H with E|H_ij|^2 = S_ij; deterministic per (spec, key).
 
-    seed: int, (master_seed, replica) pair, or a ready Generator.
+    key is the (master_seed, replica) pair of the replica's Philox stream.
     Draw order is fixed (off-diagonal, then imaginary parts for beta=2, then diagonal).
     """
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    elif isinstance(seed, tuple):
-        rng = replica_rng(*seed)
-    else:
-        rng = replica_rng(int(seed), 0)
+    rng = replica_rng(*key)
     N = spec.N
     upper, off_scale, diag_scale = spec._sampling_scales
     xi = spec.offdiag.sampler(rng, off_scale.size)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .testfn import ChebCoeffs, TestFunction, cheb_coeffs
 _POSITIVITY_FLOOR = -1e-10
 _LAST_DECADE_FRACTION = 1e-9
 _J_CAP = 2048
+_CHEB_NODES = 2048     # Gauss-Chebyshev nodes for the coefficients; raised to 2J when J outgrows it
+_INTEGRAL_NODES = 400  # Gauss-Chebyshev nodes of the integral route's double sum
+_MEAN_NODES = 800      # Gauss-Chebyshev nodes of the mean-correction integrals
 _A_EIG_CUTOFF = 1e-14  # deflated eigenvalues below this contribute nothing to g
 _PHI_CHUNK = 256       # deflated eigenvalues per vectorized block of the g-kernel table
 
@@ -123,9 +126,10 @@ def _pair_kernel_g(M: int, a_spectrum: np.ndarray) -> np.ndarray:
 
 
 def variance_integral(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary,
-                      beta: int, nodes: int = 400) -> float:
+                      beta: int) -> float:
     """Double-integral route: squared divided difference against the (4 - xy) kernel, plus the
     profile-dependent g-kernel term, then the same finite-rank corrections as the series route."""
+    nodes = _INTEGRAL_NODES
     x = gauss_cheb_nodes(nodes)
     F = np.asarray(f(x), dtype=float)
     dX = np.subtract.outer(x, x)
@@ -135,14 +139,15 @@ def variance_integral(f: TestFunction, profile: VarianceProfile, summary: Cumula
     K1 = float(np.sum(dq * dq * (4.0 - np.multiply.outer(x, x)))) / (2.0 * nodes * nodes)
     G = _pair_kernel_g(nodes, profile.a_spectrum)
     K2 = float(F @ G @ F) / (nodes * nodes)
-    t = cheb_coeffs(f, J=8, M=2048)
+    t = cheb_coeffs(f, J=8, M=_CHEB_NODES)
     trS = profile.trace
     return (K1 + K2) / beta + _correction_terms(_coeff(t.t, 1), _coeff(t.t, 2), trS, summary, beta)
 
 
 def mean_correction(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary,
-                    beta: int, nodes: int = 800) -> float:
+                    beta: int) -> float:
     """Deterministic O(1) shift of the LSS mean; the three profile terms enter only at beta = 1."""
+    nodes = _MEAN_NODES
     x = gauss_cheb_nodes(nodes)
     F = np.asarray(f(x), dtype=float)
     # both cumulant terms are single Chebyshev modes: 2*T4 and 2*T3. The T3 form
@@ -172,22 +177,6 @@ def predicted_char(lam, pred: CltPrediction):
     la = np.asarray(lam, dtype=float)
     out = np.exp(-la ** 2 * pred.variance / 2.0 + 1j * (la ** 3 * pred.cubic / 3.0 + la * pred.mean_shift))
     return complex(out) if np.ndim(lam) == 0 else out
-
-
-class PredictedCumulants(NamedTuple):
-    k1: float
-    k2: float
-    k3: float            # Taylor-matched sign convention: -2B
-    k3_magnitude: float  # 2|B|; empirical sign is calibrated downstream, never assumed
-
-
-def predicted_cumulants(pred: CltPrediction) -> PredictedCumulants:
-    return PredictedCumulants(
-        k1=pred.mean_shift,
-        k2=pred.variance,
-        k3=-2.0 * pred.cubic,
-        k3_magnitude=2.0 * abs(pred.cubic),
-    )
 
 
 def _edge_root(z: np.ndarray) -> np.ndarray:
@@ -230,10 +219,10 @@ def gbe_log_variance(z: complex, beta: int, part: str = "real") -> float:
 
 
 def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary, beta: int,
-                   J: int = 256, M: int = 2048, check_paths: bool = False) -> CltPrediction:
+                   J: int = 256, check_paths: bool = False) -> CltPrediction:
     """Assemble (V, E, B); J doubles until the last decade of the variance series is negligible."""
     while True:
-        t = cheb_coeffs(f, J=J, M=max(M, 2 * J))
+        t = cheb_coeffs(f, J=J, M=max(_CHEB_NODES, 2 * J))
         V, details = variance_series(t, profile, summary, beta, return_details=True)
         if details["last_decade_fraction"] <= _LAST_DECADE_FRACTION or J >= _J_CAP:
             break

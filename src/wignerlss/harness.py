@@ -223,7 +223,7 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
     """
     def one(r):
         H = en.sample(spec, (master_seed, r))
-        s = sp.eigenvalues(H, source=(spec.config_hash(), master_seed, r), check_hermitian=False)
+        s = sp.eigenvalues(H, check_hermitian=False)
         return stat(s, r)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -293,21 +293,19 @@ def run_ensemble(config: RunConfig, threads: int = 1,
     return result
 
 
-def compare(result: RunResult, prediction: Optional[fl.CltPrediction] = None,
-            char_const: float = _CHAR_THRESHOLD_CONST,
-            z_threshold: float = _Z_THRESHOLD) -> dict:
-    """Per-lambda CF distances and z-scores against the prediction; JSON-ready report.
+def compare(result: RunResult) -> dict:
+    """Per-lambda CF distances and z-scores against the run's prediction; JSON-ready report.
 
     The third-cumulant item checks |k3| against both 2|B| and |B| and records which
     convention the data supports; it passes if either lands within the z gate.
     """
     if result.kstats is None:
         raise ValueError("compare needs cumulant estimates; run with replicas >= 4")
-    pred = prediction if prediction is not None else result.prediction
+    pred = result.prediction
     R = len(result.lss_samples)
     N = result.config.spec.N
     ks = result.kstats
-    char_threshold = 4.0 / np.sqrt(R) + char_const / N
+    char_threshold = 4.0 / np.sqrt(R) + _CHAR_THRESHOLD_CONST / N
 
     char_rows = []
     for lam, emp in zip(result.config.lambda_grid, result.char_emp):
@@ -339,13 +337,13 @@ def compare(result: RunResult, prediction: Optional[fl.CltPrediction] = None,
         "char": char_rows,
         "mean": {
             "estimate": ks.k1, "se": ks.se1, "predicted": pred.mean_shift,
-            "z": float(z_mean), "threshold": z_threshold,
-            "pass": bool(abs(z_mean) <= z_threshold),
+            "z": float(z_mean), "threshold": _Z_THRESHOLD,
+            "pass": bool(abs(z_mean) <= _Z_THRESHOLD),
         },
         "variance": {
             "estimate": ks.k2, "se": ks.se2, "predicted": pred.variance,
-            "z": float(z_var), "threshold": z_threshold,
-            "pass": bool(abs(z_var) <= z_threshold),
+            "z": float(z_var), "threshold": _Z_THRESHOLD,
+            "pass": bool(abs(z_var) <= _Z_THRESHOLD),
         },
         "third_cumulant": {
             "estimate": ks.k3, "se": ks.se3,
@@ -353,8 +351,8 @@ def compare(result: RunResult, prediction: Optional[fl.CltPrediction] = None,
             "z_two_b": float(z_k3_two), "z_one_b": float(z_k3_one),
             "convention_supported": convention,
             "empirical_sign": int(np.sign(ks.k3)),
-            "threshold": z_threshold,
-            "pass": bool(min(abs(z_k3_two), abs(z_k3_one)) <= z_threshold),
+            "threshold": _Z_THRESHOLD,
+            "pass": bool(min(abs(z_k3_two), abs(z_k3_one)) <= _Z_THRESHOLD),
         },
     }
     items = [row["pass"] for row in char_rows]

@@ -28,7 +28,6 @@ class VarianceProfile:
 
     N: int
     S: np.ndarray
-    bounds: tuple            # (c_low, c_high): c_low/N <= S_ij <= c_high/N
     spectrum: np.ndarray     # eigenvalues of S, descending; spectrum[0] = 1
     a_spectrum: np.ndarray   # eigenvalues of A = S - ee*/N: spectrum with 1 -> 0, descending
     descriptor: dict = field(default_factory=dict)
@@ -59,7 +58,6 @@ class VarianceProfile:
         return cls(
             N=N,
             S=S,
-            bounds=(float(N * S.min()), float(N * S.max())),
             spectrum=vals,
             a_spectrum=a_vals,
             descriptor=descriptor or {"type": "matrix", "N": N, "params": {}, "seed": None},

@@ -20,16 +20,11 @@ _HERMITIAN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SpectralSample:
-    """Ascending spectrum of one matrix draw, with the trace data backing conservation checks.
-
-    source carries (config hash, master seed, replica index) when produced by the
-    sampling pipeline; synthetic samples may leave it empty.
-    """
+    """Ascending spectrum of one matrix draw, with the trace data backing conservation checks."""
 
     eigs: np.ndarray
     trace: float
     frob_sq: float
-    source: tuple = ()
 
     def __post_init__(self):
         eigs = np.asarray(self.eigs, dtype=float)
@@ -53,7 +48,7 @@ class SpectralSample:
         return self.eigs.size
 
 
-def eigenvalues(H: np.ndarray, source: tuple = (), check_hermitian: bool = True) -> SpectralSample:
+def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
     """Full ascending spectrum of a Hermitian matrix via a dense symmetric solver.
 
     check_hermitian=False skips the symmetry test, for matrices that ensemble.sample built
@@ -70,7 +65,7 @@ def eigenvalues(H: np.ndarray, source: tuple = (), check_hermitian: bool = True)
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     trace = float(np.trace(H).real)
     frob_sq = float(np.vdot(H, H).real)
-    return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq, source=source)
+    return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq)
 
 
 def centering(f: TestFunction) -> float:
@@ -93,13 +88,6 @@ def lss(sample: SpectralSample, f: TestFunction, center: Optional[float] = None)
     if center is None:
         center = centering(f)
     return float(np.sum(f(eigs)) - sample.N * center)
-
-
-@functools.lru_cache(maxsize=65536)
-def _det_log_potential(E: float, eta: float) -> complex:
-    if eta == 0.0:
-        return complex(sc.log_potential(E))
-    return sc.log_potential_quad(E, eta, nodes=_CENTERING_NODES)
 
 
 def log_char_field(sample: SpectralSample, E, eta: float):
@@ -131,7 +119,8 @@ def log_char_field(sample: SpectralSample, E, eta: float):
     else:
         z = Es[:, None] + 1j * eta
         total = np.sum(np.log(z - eigs[None, :]), axis=1)
-        pot = np.array([_det_log_potential(float(e), float(eta)) for e in Es])
+        pot = np.array([sc.log_potential_quad(float(e), float(eta), nodes=_CENTERING_NODES)
+                        for e in Es])
         out = total - N * pot
     if scalar_in:
         return complex(out[0])

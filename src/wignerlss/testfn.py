@@ -19,32 +19,25 @@ _FD_STEP = 1e-5  # central-difference step for black-box derivatives
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Evaluator on [-5, 5] with kind metadata and (optional) analytic derivatives."""
+    """Evaluator on [-5, 5] with an (optional) analytic first derivative."""
 
-    kind: str          # "polynomial" | "smooth" | "log-real" | "log-imag"
     params: tuple
     fn: Callable = field(repr=False)
     deriv: Optional[Callable] = field(default=None, repr=False)
-    deriv2: Optional[Callable] = field(default=None, repr=False)
     label: str = ""
-    compact_support: bool = True  # treated as supported within [-5, 5]
 
     def __call__(self, x):
         return self.fn(x)
 
     def derivative(self, d: int) -> Callable:
-        """Order-d derivative as a callable; analytic when available, else central differences."""
+        """Order-d derivative, d = 0 or 1; analytic when available, else central differences."""
         if d == 0:
             return self.fn
         if d == 1:
             if self.deriv is not None:
                 return self.deriv
             return lambda x: (self.fn(x + _FD_STEP) - self.fn(x - _FD_STEP)) / (2 * _FD_STEP)
-        if d == 2:
-            if self.deriv2 is not None:
-                return self.deriv2
-            return lambda x: (self.fn(x + _FD_STEP) - 2 * self.fn(x) + self.fn(x - _FD_STEP)) / _FD_STEP ** 2
-        raise ValueError("derivative order must be 0, 1 or 2")
+        raise ValueError("derivative order must be 0 or 1")
 
 
 def polynomial(coeffs: Sequence[float], label: str = "") -> TestFunction:
@@ -53,20 +46,16 @@ def polynomial(coeffs: Sequence[float], label: str = "") -> TestFunction:
     if not c:
         raise ValueError("polynomial needs at least one coefficient")
     d1 = _nppoly.polyder(c) if len(c) > 1 else np.zeros(1)
-    d2 = _nppoly.polyder(c, 2) if len(c) > 2 else np.zeros(1)
     return TestFunction(
-        kind="polynomial",
         params=c,
         fn=lambda x, c=c: _nppoly.polyval(x, c),
         deriv=lambda x, d=tuple(d1): _nppoly.polyval(x, d),
-        deriv2=lambda x, d=tuple(d2): _nppoly.polyval(x, d),
         label=label or "poly" + str(list(c)),
-        compact_support=False,
     )
 
 
-def smooth(fn: Callable, label: str = "smooth", deriv: Callable = None, deriv2: Callable = None) -> TestFunction:
-    return TestFunction(kind="smooth", params=(label,), fn=fn, deriv=deriv, deriv2=deriv2, label=label)
+def smooth(fn: Callable, label: str = "smooth", deriv: Callable = None) -> TestFunction:
+    return TestFunction(params=(label,), fn=fn, deriv=deriv, label=label)
 
 
 def gauss_bump(center: float, width: float) -> TestFunction:
@@ -81,11 +70,7 @@ def gauss_bump(center: float, width: float) -> TestFunction:
     def f1(x):
         return -(x - c) / (w * w) * f(x)
 
-    def f2(x):
-        return (((x - c) / (w * w)) ** 2 - 1.0 / (w * w)) * f(x)
-
-    return TestFunction(kind="smooth", params=("gauss", c, w), fn=f, deriv=f1, deriv2=f2,
-                        label=f"gauss({c},{w})")
+    return TestFunction(params=("gauss", c, w), fn=f, deriv=f1, label=f"gauss({c},{w})")
 
 
 def log_real(E: float, eta: float) -> TestFunction:
@@ -100,12 +85,7 @@ def log_real(E: float, eta: float) -> TestFunction:
         u = E - x
         return -u / (u * u + eta * eta)
 
-    def f2(x):
-        u = E - x
-        return (u * u - eta * eta) / (u * u + eta * eta) ** 2
-
-    return TestFunction(kind="log-real", params=(E, eta), fn=f, deriv=f1, deriv2=f2,
-                        label=f"logre({E},{eta})")
+    return TestFunction(params=(E, eta), fn=f, deriv=f1, label=f"logre({E},{eta})")
 
 
 def log_imag(E: float, eta: float) -> TestFunction:
@@ -119,12 +99,7 @@ def log_imag(E: float, eta: float) -> TestFunction:
         u = E - x
         return eta / (u * u + eta * eta)
 
-    def f2(x):
-        u = E - x
-        return 2.0 * eta * u / (u * u + eta * eta) ** 2
-
-    return TestFunction(kind="log-imag", params=(E, eta), fn=f, deriv=f1, deriv2=f2,
-                        label=f"logim({E},{eta})")
+    return TestFunction(params=(E, eta), fn=f, deriv=f1, label=f"logim({E},{eta})")
 
 
 def cheb_t_fn(n: int) -> TestFunction:
@@ -135,15 +110,11 @@ def cheb_t_fn(n: int) -> TestFunction:
     e = np.zeros(n + 1)
     e[n] = 1.0
     d1 = _npcheb.chebder(e)
-    d2 = _npcheb.chebder(e, 2)
     return TestFunction(
-        kind="polynomial",
         params=("cheb", n),
         fn=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, e),
         deriv=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, d1) / 2.0,
-        deriv2=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, d2) / 4.0,
         label=f"T{n}",
-        compact_support=False,
     )
 
 
@@ -155,8 +126,6 @@ _BUILTIN_CTORS = {"cheb": cheb_t_fn, "gauss": gauss_bump, "logre": log_real, "lo
 def from_name(spec) -> TestFunction:
     """Builtins: "x", "x2", "cheb(n)" (T_n, n a non-negative integer), "gauss(center,width)",
     "logre(E,eta)", "logim(E,eta)"; or a coefficient list."""
-    if isinstance(spec, TestFunction):
-        return spec
     if isinstance(spec, (list, tuple)):
         return polynomial(spec)
     s = str(spec).strip()
@@ -196,7 +165,6 @@ class ChebCoeffs:
     t: np.ndarray
     J: int
     tail_estimate: float
-    M: int = 0
 
     def __post_init__(self):
         self.t = np.asarray(self.t)
@@ -238,7 +206,7 @@ def cheb_coeffs(f, J: int = 256, M: int = 2048) -> ChebCoeffs:
         j = int(np.argmax(bad))
         raise ValueError(f"test function is singular at quadrature node x_{j} = {x[j]!r}")
     t = dct(vals, type=2)[: J + 1] / M
-    return ChebCoeffs(t=t, J=J, tail_estimate=_tail_estimate(t), M=M)
+    return ChebCoeffs(t=t, J=J, tail_estimate=_tail_estimate(t))
 
 
 def log_test_coeffs(z: complex, n: int, part: str = "complex"):

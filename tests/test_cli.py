@@ -150,6 +150,24 @@ def test_config_errors(tmp_path, capsys):
     assert "masterseed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ensemble, flags", [
+    ("{profile: {type: [flat], N: 10}}", []),
+    ("{profile: {type: flat, N: null}}", []),
+    ("{profile: {type: flat, N: [3]}}", []),
+    ("{profile: {type: flat, N: abc}}", ["--quick"]),
+    ("{profile: {type: band, N: 20, params: {W: null}}}", []),
+    ("{profile: {type: random, N: 20, seed: null}}", []),
+    ("{profile: {type: random, N: 20, seed: 1, params: {roughness: null}}}", []),
+    ("{profile: {type: flat, N: 10}, offdiag: 5}", []),
+    ("{profile: {type: flat, N: 10}, diag: [gaussian]}", []),
+], ids=["type-list", "N-null", "N-list", "N-text-quick", "band-W-null", "random-seed-null",
+        "random-roughness-null", "offdiag-number", "diag-list"])
+def test_malformed_values_are_config_errors(tmp_path, capsys, ensemble, flags):
+    cfg = write_config(tmp_path, f"ensemble: {ensemble}\ntestfn: x\n")
+    assert cli.main(["predict", "--config", cfg] + flags) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_json_config_accepted(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

@@ -87,7 +87,6 @@ def test_cumulant_summary_two_point_diag():
     spec = en.EnsembleSpec(1, pf.profile_flat(N), en.gaussian(), en.two_point(0.2))
     cs = en.cumulant_summary(spec)
     assert cs.kappa3_diag_sum == pytest.approx(1.5 / np.sqrt(N), abs=1e-12)
-    assert cs.kappa3_diag_scaled == pytest.approx(np.sqrt(N) * cs.kappa3_diag_sum, rel=1e-12)
 
 
 def test_cumulant_summary_beta2():
@@ -159,14 +158,14 @@ def test_sample_moments():
     assert abs(v12.mean() - S12) < 5 * v12.std() / np.sqrt(R)
     # beta=2: E H_12^2 = 0
     assert abs(sq.mean()) < 5 * np.abs(sq).std() / np.sqrt(R) + 5 * S12 / np.sqrt(R)
-    H = en.sample(spec1, 42)
+    H = en.sample(spec1, (42, 0))
     assert H.dtype == np.float64
 
 
 def test_sample_trace_identities():
     p = pf.profile_band(30, 5)
     spec = en.EnsembleSpec(2, p, en.uniform(), en.rademacher())
-    H = en.sample(spec, 11)
+    H = en.sample(spec, (11, 0))
     assert np.trace(H).real == pytest.approx(np.sum(np.diag(H).real), rel=1e-12)
     assert np.sum(np.abs(H) ** 2) == pytest.approx(np.linalg.norm(H, "fro") ** 2, rel=1e-12)
 
@@ -174,11 +173,3 @@ def test_sample_trace_identities():
 def test_beta_validation():
     with pytest.raises(ValueError):
         en.EnsembleSpec(3, pf.profile_flat(4), en.gaussian(), en.gaussian())
-
-
-def test_config_hash_stable():
-    s1 = en.EnsembleSpec(1, pf.profile_flat(5), en.gaussian(), en.gaussian())
-    s2 = en.EnsembleSpec(1, pf.profile_flat(5), en.gaussian(), en.gaussian())
-    s3 = en.EnsembleSpec(2, pf.profile_flat(5), en.gaussian(), en.gaussian())
-    assert s1.config_hash() == s2.config_hash()
-    assert s1.config_hash() != s3.config_hash()

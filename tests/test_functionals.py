@@ -214,15 +214,6 @@ def test_predicted_char():
     assert np.allclose(fl.predicted_char(lam, flat).imag, 0.0)
 
 
-def test_predicted_cumulants():
-    pred = fl.CltPrediction(variance=1.5, mean_shift=-0.2, cubic=0.4, beta=2)
-    pc = fl.predicted_cumulants(pred)
-    assert pc.k1 == -0.2
-    assert pc.k2 == 1.5
-    assert pc.k3 == pytest.approx(-0.8)
-    assert pc.k3_magnitude == pytest.approx(0.8)
-
-
 def test_prediction_positivity_guard():
     with pytest.raises(NumericalError):
         fl.CltPrediction(variance=-1e-6, mean_shift=0.0, cubic=0.0, beta=1)

@@ -232,7 +232,8 @@ def test_compare_power_against_inflated_variance():
     res = synthetic_result(R=2000, seed=3)
     bad = fl.CltPrediction(variance=4.0 * res.prediction.variance,
                            mean_shift=res.prediction.mean_shift, cubic=0.0, beta=1)
-    report = hn.compare(res, prediction=bad)
+    res.prediction = bad
+    report = hn.compare(res)
     assert not report["overall_pass"]
     assert report["variance"]["z"] < -5.0
 

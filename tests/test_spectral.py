@@ -16,7 +16,7 @@ F_X2 = tf.from_name("x2")
 def draw(N=200, beta=1, seed=7, profile=None):
     p = profile or pf.profile_flat(N)
     spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
-    return sp.eigenvalues(en.sample(spec, seed), source=(spec.config_hash(), seed, 0))
+    return sp.eigenvalues(en.sample(spec, (seed, 0)))
 
 
 def synthetic(eigs):
