@@ -80,9 +80,13 @@ def _profile_from_config(d, quick: bool) -> pf.VarianceProfile:
         raise ConfigError(f"profile.N is required for type {kind!r}")
     if kind == "random" and "seed" not in d:
         raise ConfigError("profile.seed is required for type 'random'")
+    if kind == "csv" and not isinstance(params.get("path"), str):
+        raise ConfigError(f"profile.params.path must be a string, got {params.get('path')!r}")
     try:
         if quick and kind != "csv":
             d["N"] = min(int(d["N"]), _QUICK_N)
+        if kind == "random" and not 0 <= int(d["seed"]) < 2 ** 64:  # a Philox key word
+            raise ConfigError(f"profile.seed must lie in [0, 2**64), got {d['seed']}")
         return pf.profile_from_descriptor(d)
     except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"bad profile: {exc}") from exc
@@ -135,6 +139,8 @@ def _replicas_and_seed(d: dict, args, default=None) -> tuple:
         seed = args.seed if args.seed is not None else int(d.get("master_seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run section: {exc}") from exc
+    if not 0 <= seed < 2 ** 64:  # a Philox key word
+        raise ConfigError(f"master seed must lie in [0, 2**64), got {seed}")
     if args.quick:
         replicas = min(replicas, _QUICK_REPLICAS)
     return replicas, seed

@@ -12,8 +12,8 @@ import numpy as np
 
 from .ensemble import CumulantSummary
 from .errors import NumericalError
-from .profile import VarianceProfile, resolvent_trace, trace_powers
-from .semicircle import gauss_cheb_nodes, msc_boundary
+from .profile import VarianceProfile, trace_powers
+from .semicircle import gauss_cheb_nodes
 from .testfn import ChebCoeffs, TestFunction, cheb_coeffs
 
 _POSITIVITY_FLOOR = -1e-10
@@ -21,7 +21,6 @@ _LAST_DECADE_FRACTION = 1e-9
 _J_CAP = 2048
 _CHEB_NODES = 2048     # Gauss-Chebyshev nodes for the coefficients; raised to 2J when J outgrows it
 _INTEGRAL_NODES = 400  # Gauss-Chebyshev nodes of the integral route's double sum
-_MEAN_NODES = 800      # Gauss-Chebyshev nodes of the mean-correction integrals
 _A_EIG_CUTOFF = 1e-14  # deflated eigenvalues below this contribute nothing to g
 _PHI_CHUNK = 256       # deflated eigenvalues per vectorized block of the g-kernel table
 
@@ -144,25 +143,21 @@ def variance_integral(f: TestFunction, profile: VarianceProfile, summary: Cumula
     return (K1 + K2) / beta + _correction_terms(_coeff(t.t, 1), _coeff(t.t, 2), trS, summary, beta)
 
 
-def mean_correction(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary,
+def mean_correction(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSummary,
                     beta: int) -> float:
-    """Deterministic O(1) shift of the LSS mean; the three profile terms enter only at beta = 1."""
-    nodes = _MEAN_NODES
-    x = gauss_cheb_nodes(nodes)
-    F = np.asarray(f(x), dtype=float)
-    # both cumulant terms are single Chebyshev modes: 2*T4 and 2*T3. The T3 form
-    # is forced by exact moments: E tr H = E tr H^2 - N = 0 and E tr H^3 = s3hat
-    # at every N, so the skew term must kill t0, t1, t2 and pick up t3/2.
-    p4 = x ** 4 - 4.0 * x ** 2 + 2.0
-    p3 = x ** 3 - 3.0 * x
-    total = summary.kappa4_sum * np.sum(F * p4) / (2.0 * nodes)
-    total += summary.kappa3_diag_sum * np.sum(F * p3) / (2.0 * nodes)
-    if beta == 1:
-        total += profile.trace * np.sum(F * (2.0 - x * x)) / (2.0 * nodes)
-        total += (float(f(2.0)) + float(f(-2.0))) / 4.0
-        Mb = np.asarray(msc_boundary(x)) ** 2
-        rt = resolvent_trace(profile, Mb)
-        total += np.sum(F * (Mb * rt).real) / nodes
+    """Deterministic O(1) shift of the LSS mean, from the coefficients of f:
+    E = (kappa4 t_4 + kappa3 t_3)/2 + [beta = 1] (1/2) sum_{k=2}^{J/2} tr S^k t_{2k}.
+
+    The T3 form is forced by exact moments: E tr H = E tr H^2 - N = 0 and E tr H^3 = s3hat
+    at every N. The profile sum expands the boundary resolvent trace: at x = 2 cos(theta),
+    m(x)^2 tr(S (1 - m(x)^2 S)^{-1}) = sum_{k>=1} tr S^k exp(-2 i k theta), and its k = 1
+    term cancels the beta = 1 term -tr S t_2/2.
+    """
+    coeffs = np.asarray(t.t).real
+    total = 0.5 * (summary.kappa4_sum * _coeff(coeffs, 4) + summary.kappa3_diag_sum * _coeff(coeffs, 3))
+    K = t.J // 2
+    if beta == 1 and K >= 2:
+        total += 0.5 * float(np.dot(trace_powers(profile, K)[1:], coeffs[4:2 * K + 1:2]))
     return float(total)
 
 
@@ -233,7 +228,7 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
         paths_agree = bool(abs(V - Vi) <= max(1e-5 * abs(V), 1e-7))
     return CltPrediction(
         variance=V,
-        mean_shift=mean_correction(f, profile, summary, beta),
+        mean_shift=mean_correction(t, profile, summary, beta),
         cubic=cubic_term(t, summary),
         beta=beta,
         J=t.J,

@@ -83,25 +83,22 @@ def classical_locations(ks: np.ndarray, N: int) -> np.ndarray:
     return np.where(np.asarray(ks) == N, 2.0, out)
 
 
-def log_potential(E) -> complex:
-    """Semicircle log potential at eta = 0 for |E| < 2.
+def log_potential(E, eta: float = 0.0) -> complex:
+    """Semicircle log potential int log((E - x) + i eta) rho_sc(x) dx, principal branch.
 
-    Real part: int log|E - x| rho_sc(x) dx = E^2/4 - 1/2.
-    Imag part: int Im log(E - x + i0) rho_sc(x) dx = pi (1 - F(E)) under the branch theta in (-pi, pi].
+    At eta = 0, for |E| < 2: real part int log|E - x| rho_sc(x) dx = E^2/4 - 1/2, imag part
+    int Im log(E - x + i0) rho_sc(x) dx = pi (1 - F(E)) under the branch theta in (-pi, pi].
+    At eta != 0, for any E: m^2/2 - log(-m) with m = msc(E + i eta).
     """
     scalar_in = np.isscalar(E) or np.ndim(E) == 0
     x = np.asarray(E, dtype=float)
+    if eta != 0.0:
+        m = np.asarray(msc(x + 1j * eta))
+        return _maybe_scalar(m * m / 2.0 - np.log(-m), scalar_in)
     if np.any(np.abs(x) >= _EDGE):
-        raise ValueError("log_potential requires |E| < 2")
+        raise ValueError("log_potential requires |E| < 2 at eta = 0")
     val = 0.25 * x * x - 0.5 + 1j * np.pi * (1.0 - sc_cdf(x))
     return _maybe_scalar(val, scalar_in)
-
-
-def log_potential_quad(E: float, eta: float, nodes: int = 2048) -> complex:
-    """int log((E - x) + i eta) rho_sc(x) dx by Gauss-Chebyshev quadrature; requires eta > 0."""
-    if eta <= 0.0:
-        raise ValueError("log_potential_quad requires eta > 0; use log_potential at eta = 0")
-    return complex(integrate_rho_sc(lambda x: np.log((E - x) + 1j * eta), nodes))
 
 
 # Gauss-Chebyshev rule on [-2, 2]: int g(x)/sqrt(4 - x^2) dx ~= (pi/M) sum g(x_j)

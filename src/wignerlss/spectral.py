@@ -93,10 +93,10 @@ def lss(sample: SpectralSample, f: TestFunction, center: Optional[float] = None)
 def log_char_field(sample: SpectralSample, E, eta: float):
     """Centered log-determinant field at E + i*eta, principal branch.
 
-    Re part: sum_j (1/2) log((eig_j - E)^2 + eta^2) minus N times the deterministic
-    log potential. Im part at eta = 0: pi (#{eig > E} - N (1 - F_sc(E))); at eta > 0
-    the principal complex log is used throughout. E may be a scalar or a grid;
-    evaluation over a grid is vectorized with output in grid order.
+    Re part: sum_j (1/2) log((eig_j - E)^2 + eta^2) minus N times the semicircle log
+    potential (closed form on and off the axis). Im part at eta = 0: pi (#{eig > E} -
+    N (1 - F_sc(E))); at eta > 0 the principal complex log is used throughout. E may be a
+    scalar or a grid; evaluation over a grid is vectorized with output in grid order.
     """
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
@@ -119,9 +119,7 @@ def log_char_field(sample: SpectralSample, E, eta: float):
     else:
         z = Es[:, None] + 1j * eta
         total = np.sum(np.log(z - eigs[None, :]), axis=1)
-        pot = np.array([sc.log_potential_quad(float(e), float(eta), nodes=_CENTERING_NODES)
-                        for e in Es])
-        out = total - N * pot
+        out = total - N * sc.log_potential(Es, eta)
     if scalar_in:
         return complex(out[0])
     return out

@@ -81,7 +81,7 @@ def test_mean_shift_matches_monte_carlo_mean():
     # closed-form side: quadratic statistic has no mean shift on the flat profile
     p200 = pf.profile_flat(200)
     s200 = en.cumulant_summary(en.EnsembleSpec(1, p200, en.gaussian(), en.gaussian()))
-    assert abs(fl.mean_correction(F_X2, p200, s200, 1)) <= 5e-3
+    assert abs(fl.mean_correction(tf.cheb_coeffs(F_X2), p200, s200, 1)) <= 5e-3
 
     # sampled side: replica mean of the centered statistic vs the predicted shift
     N, R = 300, 4000
@@ -99,7 +99,7 @@ def test_mean_shift_matches_monte_carlo_mean():
                     vals[i, r] = sp.lss(eig, f)
             for i, f in enumerate(fs):
                 ks = hn.cumulant_estimates(vals[i])
-                target = fl.mean_correction(f, p, summ, beta)
+                target = fl.mean_correction(tf.cheb_coeffs(f), p, summ, beta)
                 assert abs(ks.k1 - target) <= 4.0 * ks.se1, (pidx, beta, f.label, ks.k1, target, ks.se1)
 
 

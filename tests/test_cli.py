@@ -98,6 +98,21 @@ def test_predict_flat_x2(tmp_path, capsys):
     assert on_disk == out
 
 
+def test_predict_band_small_gap_mean_shift(tmp_path, capsys):
+    # band(1000, 3) has gap 1.1e-3. For x^2, E = 0 exactly and the series V is 4 tr S^2
+    cfg = write_config(tmp_path, """
+    ensemble:
+      beta: 1
+      profile: {type: band, N: 1000, params: {W: 3}}
+    testfn: x2
+    """)
+    assert cli.main(["predict", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["E"]) <= 1e-9
+    S2 = (1.0 - 1e-3) ** 2 / 7.0 + (2.0 - 1e-3) * 1e-3 / 1000.0  # row of S dotted with itself
+    assert out["V"] == pytest.approx(4.0 * 1000 * S2, rel=1e-10)
+
+
 def test_predict_cheb(tmp_path, capsys):
     # T_3 on a flat Gaussian profile: V = 3 t_3^2 tr S^3 / (2 beta) = 3/2 at beta = 1
     cfg = write_config(tmp_path, """
@@ -160,8 +175,11 @@ def test_config_errors(tmp_path, capsys):
     ("{profile: {type: random, N: 20, seed: 1, params: {roughness: null}}}", []),
     ("{profile: {type: flat, N: 10}, offdiag: 5}", []),
     ("{profile: {type: flat, N: 10}, diag: [gaussian]}", []),
+    ("{profile: {type: random, N: 10, seed: -1}}", []),
+    ("{profile: {type: csv, params: {path: ['0.5,0.5', '0.5,0.5']}}}", []),
 ], ids=["type-list", "N-null", "N-list", "N-text-quick", "band-W-null", "random-seed-null",
-        "random-roughness-null", "offdiag-number", "diag-list"])
+        "random-roughness-null", "offdiag-number", "diag-list", "random-seed-negative",
+        "csv-path-list"])
 def test_malformed_values_are_config_errors(tmp_path, capsys, ensemble, flags):
     cfg = write_config(tmp_path, f"ensemble: {ensemble}\ntestfn: x\n")
     assert cli.main(["predict", "--config", cfg] + flags) == 2
@@ -285,6 +303,19 @@ def test_maxpoly_rejects_zero_replicas(tmp_path, capsys):
     assert cli.main(["maxpoly", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "m" / "maxpoly.json").exists()
+
+
+def test_run_seed_outside_uint64_is_config_error(tmp_path, capsys):
+    negative = write_config(tmp_path, BASE.replace("master_seed: 11", "master_seed: -1"), "neg.yaml")
+    assert cli.main(["simulate", "--config", negative, "--out", str(tmp_path / "s")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    base = write_config(tmp_path, BASE)
+    assert cli.main(["simulate", "--config", base, "--out", str(tmp_path / "s"), "--seed", "-1"]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "samples.csv").exists()
+    big = write_config(tmp_path, MAXPOLY.replace("master_seed: 2", f"master_seed: {2 ** 64}"), "big.yaml")
+    assert cli.main(["maxpoly", "--config", big, "--out", str(tmp_path / "m")]) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_maxpoly_needs_maxfield_section(tmp_path, capsys):

@@ -130,19 +130,20 @@ def test_scaling_homogeneity():
     t, tc = tf.cheb_coeffs(f, J=16), tf.cheb_coeffs(cf, J=16)
     assert fl.variance_series(tc, p, s, 1) == pytest.approx(c ** 2 * fl.variance_series(t, p, s, 1), rel=1e-12)
     assert fl.cubic_term(tc, s) == pytest.approx(c ** 3 * fl.cubic_term(t, s), rel=1e-12)
-    assert fl.mean_correction(cf, p, s, 1) == pytest.approx(c * fl.mean_correction(f, p, s, 1), rel=1e-10)
+    assert fl.mean_correction(tf.cheb_coeffs(cf), p, s, 1) == pytest.approx(
+        c * fl.mean_correction(tf.cheb_coeffs(f), p, s, 1), rel=1e-10)
 
 
 def test_mean_correction_flat_gaussian_x2_is_zero():
     p = pf.profile_flat(200)
-    assert fl.mean_correction(FX2, p, make_summary(p), 1) == pytest.approx(0.0, abs=5e-3)
-    assert abs(fl.mean_correction(FX2, p, make_summary(p, 2), 2)) < 1e-12
+    assert fl.mean_correction(tf.cheb_coeffs(FX2), p, make_summary(p), 1) == pytest.approx(0.0, abs=5e-3)
+    assert abs(fl.mean_correction(tf.cheb_coeffs(FX2), p, make_summary(p, 2), 2)) < 1e-12
 
 
 def test_mean_correction_x2_zero_for_any_profile():
     # exact oracle: E[sum f(eig)] - N int f rho = sum_ij S_ij - N = 0 for f = x^2
     for p in (pf.profile_band(60, 7), pf.profile_random_ds(45, 8, 0.8)):
-        got = fl.mean_correction(FX2, p, make_summary(p, 1), 1)
+        got = fl.mean_correction(tf.cheb_coeffs(FX2), p, make_summary(p, 1), 1)
         assert got == pytest.approx(0.0, abs=1e-8)
 
 
@@ -156,13 +157,15 @@ def test_mean_correction_skew_exact_moment_oracles():
         for beta in (1, 2):
             s = make_summary(p, beta, diag=en.two_point(0.1))
             base = make_summary(p, beta)  # same profile, gaussian diag
-            assert fl.mean_correction(FX, p, s, beta) == pytest.approx(
-                fl.mean_correction(FX, p, base, beta), abs=1e-10)
-            assert fl.mean_correction(FX2, p, s, beta) == pytest.approx(
-                fl.mean_correction(FX2, p, base, beta), abs=1e-10)
-            assert fl.mean_correction(x3, p, s, beta) - fl.mean_correction(x3, p, base, beta) \
+            assert fl.mean_correction(tf.cheb_coeffs(FX), p, s, beta) == pytest.approx(
+                fl.mean_correction(tf.cheb_coeffs(FX), p, base, beta), abs=1e-10)
+            assert fl.mean_correction(tf.cheb_coeffs(FX2), p, s, beta) == pytest.approx(
+                fl.mean_correction(tf.cheb_coeffs(FX2), p, base, beta), abs=1e-10)
+            assert fl.mean_correction(tf.cheb_coeffs(x3), p, s, beta) \
+                - fl.mean_correction(tf.cheb_coeffs(x3), p, base, beta) \
                 == pytest.approx(s.kappa3_diag_sum, rel=1e-9)
-            assert fl.mean_correction(x5, p, s, beta) - fl.mean_correction(x5, p, base, beta) \
+            assert fl.mean_correction(tf.cheb_coeffs(x5), p, s, beta) \
+                - fl.mean_correction(tf.cheb_coeffs(x5), p, base, beta) \
                 == pytest.approx(5.0 * s.kappa3_diag_sum, rel=1e-9)
 
 
@@ -172,12 +175,13 @@ def test_mean_correction_constant_invariance():
     s = make_summary(p, 1, off=en.rademacher(), diag=en.two_point(0.15))
     f = tf.polynomial([0.3, -1.0, 0.7, 0.4])
     g = tf.polynomial([0.3 + 5.0, -1.0, 0.7, 0.4])
-    assert fl.mean_correction(g, p, s, 1) == pytest.approx(fl.mean_correction(f, p, s, 1), rel=1e-9)
+    assert fl.mean_correction(tf.cheb_coeffs(g), p, s, 1) == pytest.approx(
+        fl.mean_correction(tf.cheb_coeffs(f), p, s, 1), rel=1e-9)
 
 
 def test_mean_correction_odd_f_gaussian():
     p = pf.profile_random_ds(30, 17, 0.5)
-    got = fl.mean_correction(tf.polynomial([0, 0.0, 0, 1.0]), p, make_summary(p, 1), 1)
+    got = fl.mean_correction(tf.cheb_coeffs(tf.polynomial([0, 0.0, 0, 1.0])), p, make_summary(p, 1), 1)
     assert got == pytest.approx(0.0, abs=1e-10)
 
 
@@ -187,9 +191,39 @@ def test_mean_correction_bound():
     for _ in range(10):
         f = tf.polynomial(rng.standard_normal(4))
         s = make_summary(p, 1, off=en.rademacher(), diag=en.two_point(0.3))
-        e = fl.mean_correction(f, p, s, 1)
+        e = fl.mean_correction(tf.cheb_coeffs(f), p, s, 1)
         budget = tf.weighted_norm(f, 0, 1) + abs(float(f(2.0))) + abs(float(f(-2.0)))
         assert abs(e) <= 20.0 * budget
+
+
+def mean_correction_reference(f, profile, summary, beta, nodes):
+    """E by the Gauss-Chebyshev quadrature of the boundary resolvent integrand, plus the edge
+    term (f(2) + f(-2))/4; its poles sit about one spectral gap from the contour."""
+    x = sc.gauss_cheb_nodes(nodes)
+    F = np.asarray(f(x), dtype=float)
+    p4 = x ** 4 - 4.0 * x ** 2 + 2.0
+    p3 = x ** 3 - 3.0 * x
+    total = summary.kappa4_sum * np.sum(F * p4) / (2.0 * nodes)
+    total += summary.kappa3_diag_sum * np.sum(F * p3) / (2.0 * nodes)
+    if beta == 1:
+        total += profile.trace * np.sum(F * (2.0 - x * x)) / (2.0 * nodes)
+        total += (float(f(2.0)) + float(f(-2.0))) / 4.0
+        Mb = np.asarray(sc.msc_boundary(x)) ** 2
+        rt = pf.resolvent_trace(profile, Mb)
+        total += np.sum(F * (Mb * rt).real) / nodes
+    return float(total)
+
+
+def test_mean_correction_matches_reference():
+    # band(300, 12) has gap 1.2e-2: 6400 nodes resolve the reference's poles, 800 do not
+    p = pf.profile_band(300, 12)
+    fs = [FX2, tf.gauss_bump(0.3, 0.7), tf.cheb_t_fn(6), tf.log_real(0.3, 0.05)]
+    for beta in (1, 2):
+        s = make_summary(p, beta, off=en.rademacher(), diag=en.two_point(0.2))
+        for f in fs:
+            got = fl.clt_prediction(f, p, s, beta).mean_shift
+            want = mean_correction_reference(f, p, s, beta, 6400)
+            assert got == pytest.approx(want, abs=1e-8), (beta, f.label)
 
 
 def test_cubic_term():

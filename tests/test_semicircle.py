@@ -110,22 +110,29 @@ def test_log_potential_closed_form():
         sc.log_potential(2.0)
 
 
+def log_potential_oracle(E, eta, nodes=2048):
+    """int log((E - x) + i eta) rho_sc(x) dx by the Gauss-Chebyshev rule."""
+    return complex(sc.integrate_rho_sc(lambda x: np.log((E - x) + 1j * eta), nodes))
+
+
 def test_log_potential_quad_vs_closed_form():
-    # closed form: int log(z - x) rho_sc dx = msc(z)^2/2 - log(-msc(z))
-    for E, eta in ((0.0, 0.7), (1.2, 0.05), (-0.8, 1.5), (1.9, 0.3)):
-        m = sc.msc(E + 1j * eta)
-        oracle = m * m / 2.0 - np.log(-m)
-        got = sc.log_potential_quad(E, eta)
-        assert got == pytest.approx(oracle, abs=5e-9)
-    with pytest.raises(ValueError):
-        sc.log_potential_quad(0.0, 0.0)
+    # closed form off the axis: int log(z - x) rho_sc dx = msc(z)^2/2 - log(-msc(z))
+    # (2.5, 0.05) lies off the support and (-0.8, -0.05) below the axis
+    for E, eta in ((0.0, 0.7), (1.2, 0.05), (-0.8, 1.5), (1.9, 0.3), (2.5, 0.05), (-0.8, -0.05)):
+        got = sc.log_potential(E, eta)
+        assert got == pytest.approx(log_potential_oracle(E, eta), abs=5e-9)
+    grid = np.array([-0.8, 1.2])
+    assert np.array_equal(sc.log_potential(grid, 0.05),
+                          [sc.log_potential(-0.8, 0.05), sc.log_potential(1.2, 0.05)])
 
 
 def test_log_potential_quad_approaches_eta0():
-    got = sc.log_potential_quad(0.3, 1e-6, nodes=600_000)
+    got = sc.log_potential(0.3, 1e-6)
+    oracle = log_potential_oracle(0.3, 1e-6, nodes=600_000)
     want = sc.log_potential(0.3)
-    assert got.real == pytest.approx(want.real, abs=1e-4)
-    assert got.imag == pytest.approx(want.imag, abs=1e-4)
+    for ref in (oracle, want):
+        assert got.real == pytest.approx(ref.real, abs=1e-4)
+        assert got.imag == pytest.approx(ref.imag, abs=1e-4)
 
 
 def test_gauss_cheb_rule_polynomial_exactness():
