@@ -155,10 +155,27 @@ def mean_correction(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSu
     """
     coeffs = np.asarray(t.t).real
     total = 0.5 * (summary.kappa4_sum * _coeff(coeffs, 4) + summary.kappa3_diag_sum * _coeff(coeffs, 3))
-    K = t.J // 2
-    if beta == 1 and K >= 2:
-        total += 0.5 * float(np.dot(trace_powers(profile, K)[1:], coeffs[4:2 * K + 1:2]))
+    if beta == 1:
+        total += 0.5 * float(np.dot(*_profile_sum_factors(t, profile)))
     return float(total)
+
+
+def _profile_sum_factors(t: ChebCoeffs, profile: VarianceProfile) -> tuple:
+    """(tr S^k, t_{2k}) for k = 2..J/2, the factors of mean_correction's beta = 1 profile sum."""
+    K = t.J // 2
+    if K < 2:
+        return np.zeros(0), np.zeros(0)
+    return trace_powers(profile, K)[1:], np.asarray(t.t).real[4:2 * K + 1:2]
+
+
+def _mean_last_decade(t: ChebCoeffs, profile: VarianceProfile, beta: int) -> float:
+    """Sum of the |terms| of mean_correction's profile sum whose t_n has n in the last decade
+    of 0..J; 0 at beta = 2, where E reads only t_3 and t_4."""
+    if beta != 1:
+        return 0.0
+    trS, t2k = _profile_sum_factors(t, profile)
+    n = 2 * np.arange(2, t2k.size + 2)
+    return 0.5 * float(np.sum(np.abs(trS * t2k)[n >= 0.9 * t.J]))
 
 
 def cubic_term(t: ChebCoeffs, summary: CumulantSummary) -> float:
@@ -215,11 +232,21 @@ def gbe_log_variance(z: complex, beta: int, part: str = "real") -> float:
 
 def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary, beta: int,
                    J: int = 256, check_paths: bool = False) -> CltPrediction:
-    """Assemble (V, E, B); J doubles until the last decade of the variance series is negligible."""
+    """Assemble (V, E, B); J doubles until the last decade of coefficients is negligible.
+
+    Negligible means two things: the last decade carries at most _LAST_DECADE_FRACTION of the
+    variance series, and its terms of the mean shift sum to at most _LAST_DECADE_FRACTION
+    times max(1, sqrt V). The second is needed because V reads squared coefficients and E
+    reads them linearly. J stops at _J_CAP either way.
+    """
     while True:
         t = cheb_coeffs(f, J=J, M=max(_CHEB_NODES, 2 * J))
         V, details = variance_series(t, profile, summary, beta, return_details=True)
-        if details["last_decade_fraction"] <= _LAST_DECADE_FRACTION or J >= _J_CAP:
+        negligible = (
+            details["last_decade_fraction"] <= _LAST_DECADE_FRACTION
+            and _mean_last_decade(t, profile, beta)
+            <= _LAST_DECADE_FRACTION * max(1.0, np.sqrt(max(V, 0.0))))
+        if negligible or J >= _J_CAP:
             break
         J *= 2
     paths_agree = Vi = None

@@ -213,18 +213,16 @@ def _max_columns(quads: list) -> tuple:
 
 
 def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
-                  stat: Callable[[sp.SpectralSample, int], object], threads: int,
+                  stat: Callable[[np.ndarray, int], object], threads: int,
                   progress: Optional[Callable[[int, int], None]]) -> list:
-    """stat(spectrum, r) of replicas r = 0..R-1, returned in replica order.
+    """stat(H, r) of the drawn matrices H of replicas r = 0..R-1, returned in replica order.
 
     Replica r is drawn from the Philox stream keyed by (master_seed, r), so the results do
     not depend on the thread count. The first failing replica, in index order, raises
     NumericalError naming it and the seed; queued replicas are cancelled first.
     """
     def one(r):
-        H = en.sample(spec, (master_seed, r))
-        s = sp.eigenvalues(H, check_hermitian=False)
-        return stat(s, r)
+        return stat(en.sample(spec, (master_seed, r)), r)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     rows = []
@@ -250,6 +248,10 @@ def run_ensemble(config: RunConfig, threads: int = 1,
 
     Per-replica RNG is derived from (master_seed, replica index) by counter, and results
     are collected in index order, so the output is independent of thread count.
+
+    A polynomial of degree <= 2, in a run with no maxfield and no rigidity, takes each
+    statistic from tr H and ||H||_F^2 (spectral.trace_lss) and skips the eigensolve; every
+    other run solves for the spectrum of each replica.
     """
     lock = threading.Lock()
     held = []
@@ -262,14 +264,20 @@ def run_ensemble(config: RunConfig, threads: int = 1,
                 held.append(sp.centering(config.f))
             return held[0]
 
-    def stat(s: sp.SpectralSample, r: int) -> dict:
-        out = {"lss": sp.lss(s, config.f, center())}
-        if config.maxfield is not None:
-            out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
-        if config.rigidity is not None:
-            st = sp.rigidity_stats(s, config.rigidity)
-            out["rigidity"] = (st.max_stat, st.min_stat)
-        return out
+    coeffs = sp.quadratic_coeffs(config.f)
+    if coeffs is not None and config.maxfield is None and config.rigidity is None:
+        def stat(H: np.ndarray, r: int) -> dict:
+            return {"lss": sp.trace_lss(H, coeffs, center())}
+    else:
+        def stat(H: np.ndarray, r: int) -> dict:
+            s = sp.eigenvalues(H, check_hermitian=False)
+            out = {"lss": sp.lss(s, config.f, center())}
+            if config.maxfield is not None:
+                out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
+            if config.rigidity is not None:
+                st = sp.rigidity_stats(s, config.rigidity)
+                out["rigidity"] = (st.max_stat, st.min_stat)
+            return out
 
     R = config.replicas
     rows = _map_replicas(config.spec, config.master_seed, R, stat, threads, progress)
@@ -368,8 +376,11 @@ def max_field_experiment(spec: en.EnsembleSpec, kappa: float, E_grid_size: int, 
     kappa, E_grid_size = _maxfield_params(kappa, E_grid_size)
     if R < 1:
         raise ValueError("replicas must be >= 1")
-    quads = _map_replicas(spec, master_seed, R,
-                          lambda s, r: _max_ratios(s, kappa, E_grid_size, r), threads, progress)
+
+    def stat(H: np.ndarray, r: int):
+        return _max_ratios(sp.eigenvalues(H, check_hermitian=False), kappa, E_grid_size, r)
+
+    quads = _map_replicas(spec, master_seed, R, stat, threads, progress)
     re, im_plus, im_minus, collisions = _max_columns(quads)
     return {"re_ratio": re, "im_plus_ratio": im_plus, "im_minus_ratio": im_minus,
             "collisions": collisions}

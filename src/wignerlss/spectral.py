@@ -68,6 +68,37 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
     return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq)
 
 
+def quadratic_coeffs(f: TestFunction) -> Optional[tuple]:
+    """(c0, c1, c2) when f is a polynomial whose highest non-zero monomial has degree <= 2,
+    else None: the functions whose lss trace_lss reads without a spectrum."""
+    c = f.monomials
+    if c is None or any(v != 0.0 for v in c[3:]):
+        return None
+    return (tuple(c) + (0.0, 0.0))[:3]
+
+
+def trace_lss(H: np.ndarray, coeffs: tuple, center: float) -> float:
+    """Centered linear statistic of f = c0 + c1 x + c2 x^2 from H alone, with no eigensolve:
+    sum_i f(eig_i) = N c0 + c1 tr H + c2 ||H||_F^2 exactly.
+
+    coeffs is quadratic_coeffs(f) and center is centering(f). ||H||_F^2 is summed by einsum,
+    not BLAS, so the value does not depend on the BLAS thread count. A non-finite value
+    raises NumericalError.
+    """
+    c0, c1, c2 = coeffs
+    N = H.shape[0]
+    flat = H.reshape(-1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(float)
+    trace = float(np.trace(H).real)
+    frob_sq = float(np.einsum("i,i->", flat, flat))
+    value = N * c0 + c1 * trace + c2 * frob_sq - N * center
+    if not np.isfinite(value):
+        raise NumericalError(
+            f"non-finite statistic: tr H = {trace!r}, ||H||_F^2 = {frob_sq!r}")
+    return value
+
+
 def centering(f: TestFunction) -> float:
     """int f d(rho_sc) on a 2048-node rule: the per-eigenvalue centering of lss."""
     return float(sc.integrate_rho_sc(f, nodes=_CENTERING_NODES).real)
@@ -157,14 +188,3 @@ def rigidity_stats(sample: SpectralSample, kappa: float) -> RigidityStats:
     v = _rigidity_vector(sample, kappa)
     return RigidityStats(float(np.max(v)), float(np.min(v)))
 
-
-def empirical_stieltjes(sample: SpectralSample, z):
-    """N^-1 sum_j 1/(eig_j - z) for non-real z."""
-    scalar_in = np.isscalar(z) or np.ndim(z) == 0
-    zz = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(zz.imag == 0.0):
-        raise ValueError("empirical_stieltjes requires Im z != 0")
-    out = np.mean(1.0 / (sample.eigs[None, :] - zz[:, None]), axis=1)
-    if scalar_in:
-        return complex(out[0])
-    return out

@@ -19,12 +19,17 @@ _FD_STEP = 1e-5  # central-difference step for black-box derivatives
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """Evaluator on [-5, 5] with an (optional) analytic first derivative."""
+    """Evaluator on [-5, 5] with an (optional) analytic first derivative.
+
+    monomials holds the coefficients (c0, c1, ...) of a polynomial built by polynomial(),
+    and is None for every other function.
+    """
 
     params: tuple
     fn: Callable = field(repr=False)
     deriv: Optional[Callable] = field(default=None, repr=False)
     label: str = ""
+    monomials: Optional[tuple] = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -51,6 +56,7 @@ def polynomial(coeffs: Sequence[float], label: str = "") -> TestFunction:
         fn=lambda x, c=c: _nppoly.polyval(x, c),
         deriv=lambda x, d=tuple(d1): _nppoly.polyval(x, d),
         label=label or "poly" + str(list(c)),
+        monomials=c,
     )
 
 

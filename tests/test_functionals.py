@@ -344,6 +344,16 @@ def test_clt_prediction_adaptive_J():
     assert pred2.J == 16
 
 
+def test_clt_prediction_mean_shift_converged_in_J():
+    # V squares the coefficients and E sums them, so a J at which the variance series has
+    # converged can still leave E short: here J = 512 would leave E off by 2.4e-9
+    p = pf.profile_band(300, 12)
+    s = make_summary(p, 1, diag=en.two_point(0.1))
+    f = tf.log_imag(0.3, 0.05)
+    ref = fl.mean_correction(tf.cheb_coeffs(f, J=4096, M=8192), p, s, 1)
+    assert abs(fl.clt_prediction(f, p, s, 1).mean_shift - ref) <= 1e-10
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-2.5, 2.5, allow_nan=False), st.floats(0.05, 1.0, allow_nan=False))
 def test_gbe_real_plus_imag_is_kernel_diag_property(E, eta):

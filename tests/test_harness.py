@@ -201,6 +201,64 @@ def test_run_ensemble_centering_computed_once(monkeypatch):
     assert pooled.to_json() == serial.to_json()
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+def test_trace_route_matches_spectral_route(beta):
+    # rigidity forces the eigensolve, so the same draws go through both routes
+    entries = [(en.gaussian(), en.two_point(0.1)), (en.rademacher(), en.gaussian()),
+               (en.two_point(0.3), en.rademacher())]
+    for off, diag in entries:
+        spec = en.EnsembleSpec(beta, pf.profile_band(40, 5), off, diag)
+        for name in ("x", "x2", [0.5, -1.0, 2.0], [0.0, 0.0, 1.0, 0.0]):
+            f = tf.from_name(name)
+            trace = hn.RunConfig(spec=spec, f=f, replicas=6, master_seed=17, lambda_grid=(0.0,))
+            spectral = hn.RunConfig(spec=spec, f=f, replicas=6, master_seed=17,
+                                    lambda_grid=(0.0,), rigidity=0.25)
+            a = hn.run_ensemble(trace).lss_samples
+            b = hn.run_ensemble(spectral).lss_samples
+            assert np.max(np.abs(a - b)) <= 1e-9, (off.family, diag.family, f.label)
+
+
+def test_trace_route_skips_the_eigensolve(monkeypatch):
+    real = sp.eigenvalues
+    calls = []
+
+    def counted(H, *args, **kwargs):
+        calls.append(1)
+        return real(H, *args, **kwargs)
+
+    monkeypatch.setattr(hn.sp, "eigenvalues", counted)
+    R = 5
+    runs = [
+        (small_config(N=20, R=R), 0),
+        (small_config(N=20, R=R, rigidity=0.25), R),
+        (small_config(N=20, R=R, maxfield=(0.2, 120)), R),
+    ]
+    for name in ("cheb(2)", [0.0, 0.0, 0.0, 1.0]):
+        cfg = small_config(N=20, R=R)
+        object.__setattr__(cfg, "f", tf.from_name(name))
+        runs.append((cfg, R))
+    for cfg, want in runs:
+        calls.clear()
+        hn.run_ensemble(cfg)
+        assert len(calls) == want, (cfg.f.label, cfg.maxfield, cfg.rigidity)
+
+
+def test_trace_route_non_finite_draw_reports_replica(monkeypatch):
+    real = en.sample
+
+    def poisoned(spec, key):
+        H = real(spec, key)
+        if key[1] == 3:
+            H[1, 1] = np.nan
+        return H
+
+    monkeypatch.setattr(hn.en, "sample", poisoned)
+    for threads in (1, 2):
+        cfg = small_config(N=20, R=8, seed=5, lambda_grid=(0.0,))
+        with pytest.raises(NumericalError, match=r"replica 3 failed \(master_seed 5\)"):
+            hn.run_ensemble(cfg, threads=threads)
+
+
 def synthetic_result(R=20000, V=2.0, E=0.3, B=0.0, seed=1):
     rng = np.random.default_rng(seed)
     samples = rng.normal(E, np.sqrt(V), R)
