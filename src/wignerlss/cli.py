@@ -207,7 +207,10 @@ def cmd_predict(args) -> int:
     spec = _ensemble_from_config(_require(cfg, "ensemble"), args.quick)
     f = _testfn_from_config(_require(cfg, "testfn"))
     summary = en.cumulant_summary(spec)
-    pred = fl.clt_prediction(f, spec.profile, summary, spec.beta, check_paths=True)
+    try:
+        pred = fl.clt_prediction(f, spec.profile, summary, spec.beta, check_paths=True)
+    except ValueError as exc:   # f is not finite at a node of the coefficient rule
+        raise ConfigError(f"bad testfn: {exc}") from exc
     out = dict(pred.to_dict())
     out["V_integral"] = pred.integral_variance
     text = json.dumps(out, sort_keys=True)
@@ -223,7 +226,10 @@ def _simulate(args):
     f = _testfn_from_config(_require(cfg, "testfn"))
     rc = _run_config(cfg, spec, f, args)
     _warn_lambda_window(rc)
-    res = hn.run_ensemble(rc, threads=args.threads, progress=_progress)
+    try:
+        res = hn.run_ensemble(rc, threads=args.threads, progress=_progress)
+    except ValueError as exc:   # from the prediction; a failing replica raises NumericalError
+        raise ConfigError(f"bad testfn: {exc}") from exc
     return cfg, res
 
 

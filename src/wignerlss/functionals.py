@@ -27,16 +27,18 @@ _PHI_CHUNK = 256       # deflated eigenvalues per vectorized block of the g-kern
 
 @dataclass
 class CltPrediction:
-    """(variance, mean shift, cubic coefficient) for one (f, ensemble) pair.
+    """(variance, mean shift, cubic coefficient) and the centering int f d(rho_sc) for one
+    (f, ensemble) pair.
 
     With check_paths, integral_variance holds the integral-route value the series variance
-    was checked against; it stays out of to_dict.
+    was checked against. centering and integral_variance stay out of to_dict.
     """
 
     variance: float
     mean_shift: float
     cubic: float
     beta: int
+    centering: float
     J: int = 0
     tail_estimate: float = 0.0
     paths_agree: Optional[bool] = None
@@ -124,10 +126,11 @@ def _pair_kernel_g(M: int, a_spectrum: np.ndarray) -> np.ndarray:
     return phi[np.add.outer(j, j) + 1] + phi[np.abs(np.subtract.outer(j, j))]
 
 
-def variance_integral(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary,
-                      beta: int) -> float:
+def variance_integral(f: TestFunction, t: ChebCoeffs, profile: VarianceProfile,
+                      summary: CumulantSummary, beta: int) -> float:
     """Double-integral route: squared divided difference against the (4 - xy) kernel, plus the
-    profile-dependent g-kernel term, then the same finite-rank corrections as the series route."""
+    profile-dependent g-kernel term, then the series route's finite-rank corrections, which
+    read t_1 and t_2 from its coefficients t."""
     nodes = _INTEGRAL_NODES
     x = gauss_cheb_nodes(nodes)
     F = np.asarray(f(x), dtype=float)
@@ -138,7 +141,6 @@ def variance_integral(f: TestFunction, profile: VarianceProfile, summary: Cumula
     K1 = float(np.sum(dq * dq * (4.0 - np.multiply.outer(x, x)))) / (2.0 * nodes * nodes)
     G = _pair_kernel_g(nodes, profile.a_spectrum)
     K2 = float(F @ G @ F) / (nodes * nodes)
-    t = cheb_coeffs(f, J=8, M=_CHEB_NODES)
     trS = profile.trace
     return (K1 + K2) / beta + _correction_terms(_coeff(t.t, 1), _coeff(t.t, 2), trS, summary, beta)
 
@@ -232,12 +234,17 @@ def gbe_log_variance(z: complex, beta: int, part: str = "real") -> float:
 
 def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary, beta: int,
                    J: int = 256, check_paths: bool = False) -> CltPrediction:
-    """Assemble (V, E, B); J doubles until the last decade of coefficients is negligible.
+    """Assemble (V, E, B) and the centering from one coefficient table of f, on
+    max(_CHEB_NODES, 2J) nodes; J doubles until the last decade of coefficients is negligible.
 
     Negligible means two things: the last decade carries at most _LAST_DECADE_FRACTION of the
     variance series, and its terms of the mean shift sum to at most _LAST_DECADE_FRACTION
     times max(1, sqrt V). The second is needed because V reads squared coefficients and E
     reads them linearly. J stops at _J_CAP either way.
+
+    The centering int f d(rho_sc) is (t_0 - t_2)/2, as rho_sc(x) dx = (1 - cos 2 theta)
+    d theta / pi at x = 2 cos(theta). A test function that is not finite at a node raises
+    ValueError.
     """
     while True:
         t = cheb_coeffs(f, J=J, M=max(_CHEB_NODES, 2 * J))
@@ -251,13 +258,14 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
         J *= 2
     paths_agree = Vi = None
     if check_paths:
-        Vi = variance_integral(f, profile, summary, beta)
+        Vi = variance_integral(f, t, profile, summary, beta)
         paths_agree = bool(abs(V - Vi) <= max(1e-5 * abs(V), 1e-7))
     return CltPrediction(
         variance=V,
         mean_shift=mean_correction(t, profile, summary, beta),
         cubic=cubic_term(t, summary),
         beta=beta,
+        centering=(_coeff(t.t, 0) - _coeff(t.t, 2)) / 2.0,
         J=t.J,
         tail_estimate=t.tail_estimate,
         paths_agree=paths_agree,

@@ -4,7 +4,6 @@ k-statistic cumulant estimates, theory-vs-experiment reports, and the max-field 
 from __future__ import annotations
 
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -244,34 +243,29 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
 
 def run_ensemble(config: RunConfig, threads: int = 1,
                  progress: Optional[Callable[[int, int], None]] = None) -> RunResult:
-    """Run all replicas, aggregate deterministically in replica order, attach the prediction.
+    """Predict, then run all replicas and aggregate them deterministically in replica order.
 
-    Per-replica RNG is derived from (master_seed, replica index) by counter, and results
-    are collected in index order, so the output is independent of thread count.
+    The prediction comes first, and every replica centers its statistic by the prediction's
+    centering, int f d(rho_sc) read from the same coefficients; a test function the
+    prediction cannot expand therefore fails before any matrix is drawn. Per-replica RNG is
+    derived from (master_seed, replica index) by counter, and results are collected in index
+    order, so the output is independent of thread count.
 
     A polynomial of degree <= 2, in a run with no maxfield and no rigidity, takes each
     statistic from tr H and ||H||_F^2 (spectral.trace_lss) and skips the eigensolve; every
     other run solves for the spectrum of each replica.
     """
-    lock = threading.Lock()
-    held = []
-
-    def center() -> float:
-        # the lss centering, computed once per run by the first replica to get here; a test
-        # function that fails on it fails inside that replica and is reported with its index
-        with lock:
-            if not held:
-                held.append(sp.centering(config.f))
-            return held[0]
-
+    summary = en.cumulant_summary(config.spec)
+    prediction = fl.clt_prediction(config.f, config.spec.profile, summary, config.spec.beta)
+    center = prediction.centering
     coeffs = sp.quadratic_coeffs(config.f)
     if coeffs is not None and config.maxfield is None and config.rigidity is None:
         def stat(H: np.ndarray, r: int) -> dict:
-            return {"lss": sp.trace_lss(H, coeffs, center())}
+            return {"lss": sp.trace_lss(H, coeffs, center)}
     else:
         def stat(H: np.ndarray, r: int) -> dict:
             s = sp.eigenvalues(H, check_hermitian=False)
-            out = {"lss": sp.lss(s, config.f, center())}
+            out = {"lss": sp.lss(s, config.f, center)}
             if config.maxfield is not None:
                 out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
             if config.rigidity is not None:
@@ -282,8 +276,6 @@ def run_ensemble(config: RunConfig, threads: int = 1,
     R = config.replicas
     rows = _map_replicas(config.spec, config.master_seed, R, stat, threads, progress)
     lss_samples = np.array([row["lss"] for row in rows])
-    summary = en.cumulant_summary(config.spec)
-    prediction = fl.clt_prediction(config.f, config.spec.profile, summary, config.spec.beta)
     result = RunResult(
         config=config,
         lss_samples=lss_samples,

@@ -59,15 +59,6 @@ def sc_cdf(E) -> float:
     return _maybe_scalar(F, scalar_in)
 
 
-def classical_location(k: int, N: int) -> float:
-    """The k-th classical location: the unique gamma in [-2, 2] with F(gamma) = k/N."""
-    if not 1 <= k <= N:
-        raise ValueError(f"classical_location requires 1 <= k <= N, got k={k}, N={N}")
-    if k == N:
-        return 2.0
-    return float(classical_locations(np.array([k]), N)[0])
-
-
 def classical_locations(ks: np.ndarray, N: int) -> np.ndarray:
     """Vectorized bisection for F(gamma_k) = k/N over an array of indices k."""
     target = np.asarray(ks, dtype=float) / N
@@ -106,12 +97,6 @@ def log_potential(E, eta: float = 0.0) -> complex:
 
 def gauss_cheb_nodes(M: int) -> np.ndarray:
     return 2.0 * np.cos(np.pi * (np.arange(M) + 0.5) / M)
-
-
-def integrate_weighted(g: Callable[[np.ndarray], np.ndarray], nodes: int = 2048) -> complex:
-    """int g(x) / sqrt(4 - x^2) dx over (-2, 2)."""
-    x = gauss_cheb_nodes(nodes)
-    return (np.pi / nodes) * np.sum(np.asarray(g(x)))
 
 
 def integrate_rho_sc(g: Callable[[np.ndarray], np.ndarray], nodes: int = 2048) -> complex:

@@ -14,7 +14,6 @@ from .testfn import TestFunction
 
 _CONSERVATION_TOL = 1e-8   # per-size budget for eigensolver trace identities
 _SUPPORT_LIMIT = 5.0       # test functions are only guaranteed evaluable here
-_CENTERING_NODES = 2048
 _HERMITIAN_TOL = 1e-12
 
 
@@ -81,9 +80,9 @@ def trace_lss(H: np.ndarray, coeffs: tuple, center: float) -> float:
     """Centered linear statistic of f = c0 + c1 x + c2 x^2 from H alone, with no eigensolve:
     sum_i f(eig_i) = N c0 + c1 tr H + c2 ||H||_F^2 exactly.
 
-    coeffs is quadratic_coeffs(f) and center is centering(f). ||H||_F^2 is summed by einsum,
-    not BLAS, so the value does not depend on the BLAS thread count. A non-finite value
-    raises NumericalError.
+    coeffs is quadratic_coeffs(f) and center is int f d(rho_sc), as in lss. ||H||_F^2 is
+    summed by einsum, not BLAS, so the value does not depend on the BLAS thread count. A
+    non-finite value raises NumericalError.
     """
     c0, c1, c2 = coeffs
     N = H.shape[0]
@@ -99,16 +98,11 @@ def trace_lss(H: np.ndarray, coeffs: tuple, center: float) -> float:
     return value
 
 
-def centering(f: TestFunction) -> float:
-    """int f d(rho_sc) on a 2048-node rule: the per-eigenvalue centering of lss."""
-    return float(sc.integrate_rho_sc(f, nodes=_CENTERING_NODES).real)
+def lss(sample: SpectralSample, f: TestFunction, center: float) -> float:
+    """Centered linear statistic sum_i f(eig_i) - N center.
 
-
-def lss(sample: SpectralSample, f: TestFunction, center: Optional[float] = None) -> float:
-    """Centered linear statistic sum_i f(eig_i) - N int f d(rho_sc).
-
-    center is centering(f); a run over many replicas computes it once and passes it in.
-    Without it the integral is computed afresh on every call.
+    center is int f d(rho_sc), the CltPrediction.centering of f that a run computes once,
+    before its replicas.
     """
     eigs = sample.eigs
     if eigs[0] < -_SUPPORT_LIMIT or eigs[-1] > _SUPPORT_LIMIT:
@@ -116,8 +110,6 @@ def lss(sample: SpectralSample, f: TestFunction, center: Optional[float] = None)
             f"eigenvalue outside [-{_SUPPORT_LIMIT}, {_SUPPORT_LIMIT}] "
             f"(min {eigs[0]:.6g}, max {eigs[-1]:.6g}); sampling or solver bug"
         )
-    if center is None:
-        center = centering(f)
     return float(np.sum(f(eigs)) - sample.N * center)
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -149,21 +148,6 @@ def from_name(spec) -> TestFunction:
     raise ValueError(f"unknown test function {s!r}")
 
 
-def cheb_T(n: int, x):
-    """Scaled Chebyshev polynomial: T_0 = 1, T_1 = x/2, T_{n+1} = x T_n - T_{n-1}; T_n(2 cos t) = cos(n t)."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    scalar_in = np.isscalar(x) or np.ndim(x) == 0
-    xx = np.asarray(x, dtype=float)
-    prev = np.ones_like(xx)
-    if n == 0:
-        return prev.item() if scalar_in else prev
-    cur = 0.5 * xx
-    for _ in range(n - 1):
-        prev, cur = cur, xx * cur - prev
-    return cur.item() if scalar_in else cur
-
-
 @dataclass(eq=False)
 class ChebCoeffs:
     """Coefficients t_0..t_J of f = t_0/2 + sum t_n T_n, with a bound on the dropped tail."""
@@ -210,7 +194,7 @@ def cheb_coeffs(f, J: int = 256, M: int = 2048) -> ChebCoeffs:
     bad = ~np.isfinite(vals)
     if bad.any():
         j = int(np.argmax(bad))
-        raise ValueError(f"test function is singular at quadrature node x_{j} = {x[j]!r}")
+        raise ValueError(f"test function is singular at quadrature node x_{j} = {float(x[j])!r}")
     t = dct(vals, type=2)[: J + 1] / M
     return ChebCoeffs(t=t, J=J, tail_estimate=_tail_estimate(t))
 
@@ -232,45 +216,3 @@ def log_test_coeffs(z: complex, n: int, part: str = "complex"):
     if part == "imag":
         return t.imag
     raise ValueError(f"unknown part {part!r}")
-
-
-def reconstruct(t, x):
-    """Evaluate the truncated series t_0/2 + sum t_n T_n(x) (Clenshaw via the x/2 substitution)."""
-    raw = t.t if isinstance(t, ChebCoeffs) else np.asarray(t)
-    c = np.array(raw, copy=True)
-    c[0] = c[0] / 2.0
-    out = _npcheb.chebval(np.asarray(x) / 2.0, c)
-    return out.item() if np.isscalar(x) or np.ndim(x) == 0 else out
-
-
-def weighted_norm(f: TestFunction, d: int = 0, p: float = 1.0) -> float:
-    """(int_{-5}^{5} |f^(d)(x)|^p / sqrt|4 - x^2| dx)^(1/p), endpoint singularities substituted away."""
-    from scipy.integrate import IntegrationWarning, quad  # slow to import; no CLI command calls this
-
-    if p <= 0:
-        raise ValueError("p must be positive")
-    g = f.derivative(d)
-
-    # |x| < 2: x = 2 sin(t), weight exactly cancels
-    def inner(t):
-        return np.abs(g(2.0 * np.sin(t))) ** p
-
-    # |x| > 2: x = +-2 cosh(u), weight exactly cancels
-    def outer(u, sign):
-        return np.abs(g(sign * 2.0 * np.cosh(u))) ** p
-
-    umax = np.arccosh(2.5)
-    total = 0.0
-    pieces = [
-        (inner, -np.pi / 2, np.pi / 2, ()),
-        (outer, 0.0, umax, (1.0,)),
-        (outer, 0.0, umax, (-1.0,)),
-    ]
-    for fn, a, b, args in pieces:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, err = quad(fn, a, b, args=args, limit=200)
-        if not np.isfinite(val) or err > 1e-6 + 1e-3 * abs(val):
-            raise ValueError("weighted norm integral did not converge (non-integrable singularity?)")
-        total += val
-    return float(total ** (1.0 / p))

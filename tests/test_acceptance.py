@@ -16,6 +16,7 @@ from wignerlss import ensemble as en
 from wignerlss import functionals as fl
 from wignerlss import harness as hn
 from wignerlss import profile as pf
+from wignerlss import semicircle as sc
 from wignerlss import spectral as sp
 from wignerlss import testfn as tf
 
@@ -44,7 +45,7 @@ def test_variance_series_and_integral_paths_agree():
         for f in fs:
             t = tf.cheb_coeffs(f, J=64)
             v_series = fl.variance_series(t, p, s, beta)
-            v_integral = fl.variance_integral(f, p, s, beta)
+            v_integral = fl.variance_integral(f, t, p, s, beta)
             assert abs(v_series - v_integral) <= max(1e-5 * abs(v_series), 1e-7), f.label
 
 
@@ -86,6 +87,7 @@ def test_mean_shift_matches_monte_carlo_mean():
     # sampled side: replica mean of the centered statistic vs the predicted shift
     N, R = 300, 4000
     fs = [F_X2, tf.gauss_bump(0.3, 0.7)]
+    centers = [float(sc.integrate_rho_sc(f, nodes=2048).real) for f in fs]
     for pidx, p in enumerate((pf.profile_flat(N), pf.profile_band(N, 12))):
         for beta in (1, 2):
             spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
@@ -96,7 +98,7 @@ def test_mean_shift_matches_monte_carlo_mean():
                 smp = en.sample(spec, (master, r))
                 eig = sp.eigenvalues(smp)
                 for i, f in enumerate(fs):
-                    vals[i, r] = sp.lss(eig, f)
+                    vals[i, r] = sp.lss(eig, f, centers[i])
             for i, f in enumerate(fs):
                 ks = hn.cumulant_estimates(vals[i])
                 target = fl.mean_correction(tf.cheb_coeffs(f), p, summ, beta)

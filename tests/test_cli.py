@@ -7,6 +7,7 @@ import pytest
 from wignerlss import cli
 from wignerlss import functionals as fl
 from wignerlss import harness as hn
+from wignerlss.semicircle import gauss_cheb_nodes
 
 
 def write_config(tmp_path, text, name="exp.yaml"):
@@ -44,17 +45,20 @@ def test_simulate_smoke(tmp_path, capsys):
 
 
 def test_simulate_byte_determinism(tmp_path, capsys):
-    cfg = write_config(tmp_path, BASE)
-    blobs = []
-    outs = []
-    for name, threads in (("a", "1"), ("b", "4"), ("c", "1")):
-        out = tmp_path / name
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out),
-                         "--threads", threads]) == 0
-        outs.append(capsys.readouterr().out)
-        blobs.append(((out / "samples.csv").read_bytes(), (out / "summary.json").read_bytes()))
-    assert blobs[0] == blobs[1] == blobs[2]
-    assert outs[0] == outs[1] == outs[2]
+    # x2 takes the trace route; the Gaussian bump solves for each spectrum
+    for testfn in ("x2", "gauss(0.3,0.7)"):
+        cfg = write_config(tmp_path, BASE.replace("testfn: x2", f"testfn: {testfn}"))
+        blobs = []
+        outs = []
+        for name, threads in (("a", "1"), ("b", "4"), ("c", "1")):
+            out = tmp_path / testfn / name
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                             "--threads", threads]) == 0
+            outs.append(capsys.readouterr().out)
+            blobs.append(((out / "samples.csv").read_bytes(),
+                          (out / "summary.json").read_bytes()))
+        assert blobs[0] == blobs[1] == blobs[2], testfn
+        assert outs[0] == outs[1] == outs[2], testfn
 
 
 def test_simulate_replicas_and_seed_overrides(tmp_path):
@@ -244,7 +248,8 @@ def test_verify_fails_on_inflated_variance(tmp_path, capsys, monkeypatch):
         p = real(*args, **kwargs)
         return fl.CltPrediction(variance=4.0 * p.variance, mean_shift=p.mean_shift,
                                 cubic=p.cubic, beta=p.beta, J=p.J,
-                                tail_estimate=p.tail_estimate, paths_agree=p.paths_agree)
+                                centering=p.centering, tail_estimate=p.tail_estimate,
+                                paths_agree=p.paths_agree)
 
     monkeypatch.setattr(hn.fl, "clt_prediction", inflated)
     cfg = write_config(tmp_path, """
@@ -354,6 +359,23 @@ def test_quick_caps(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["config"]["replicas"] == 20
     assert summary["config"]["ensemble"]["profile"]["N"] == 200
+
+
+def test_testfn_singular_at_a_node_is_config_error(tmp_path, capsys, monkeypatch):
+    # log|E - x| with E on node x_700 of the 2048-node coefficient rule: the prediction, which
+    # runs before any replica, cannot expand it
+    calls = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, key: calls.append(key))
+    E = float(gauss_cheb_nodes(2048)[700])
+    cfg = write_config(tmp_path, BASE.replace("testfn: x2", f"testfn: logre({E!r},0)")
+                       .replace("replicas: 2", "replicas: 4"))
+    for command in ("predict", "simulate", "verify"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"x_700 = {E!r}" in err, err
+        assert not out.exists() or not any(out.iterdir()), command
+    assert calls == []
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

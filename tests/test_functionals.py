@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import weighted_norm
 from wignerlss import ensemble as en
 from wignerlss import functionals as fl
 from wignerlss import profile as pf
@@ -66,14 +67,15 @@ def test_variance_paths_agree():
         for f in fs:
             t = tf.cheb_coeffs(f, J=64)
             Vs = fl.variance_series(t, p, s, beta)
-            Vi = fl.variance_integral(f, p, s, beta)
+            Vi = fl.variance_integral(f, t, p, s, beta)
             assert abs(Vs - Vi) <= max(1e-5 * abs(Vs), 1e-7), f.label
 
 
 def test_variance_integral_flat_f_x():
     p = pf.profile_flat(12)
     s = make_summary(p, 1)
-    assert fl.variance_integral(FX, p, s, 1) == pytest.approx(p.trace, abs=1e-9)
+    t = tf.cheb_coeffs(FX, J=8)
+    assert fl.variance_integral(FX, t, p, s, 1) == pytest.approx(p.trace, abs=1e-9)
 
 
 def pair_kernel_g_reference(M, a_spectrum):
@@ -192,7 +194,7 @@ def test_mean_correction_bound():
         f = tf.polynomial(rng.standard_normal(4))
         s = make_summary(p, 1, off=en.rademacher(), diag=en.two_point(0.3))
         e = fl.mean_correction(tf.cheb_coeffs(f), p, s, 1)
-        budget = tf.weighted_norm(f, 0, 1) + abs(float(f(2.0))) + abs(float(f(-2.0)))
+        budget = weighted_norm(f, 0, 1) + abs(float(f(2.0))) + abs(float(f(-2.0)))
         assert abs(e) <= 20.0 * budget
 
 
@@ -238,19 +240,19 @@ def test_cubic_term():
 
 
 def test_predicted_char():
-    pred = fl.CltPrediction(variance=2.0, mean_shift=0.3, cubic=-0.1, beta=1)
+    pred = fl.CltPrediction(variance=2.0, mean_shift=0.3, cubic=-0.1, beta=1, centering=0.0)
     assert fl.predicted_char(0.0, pred) == 1.0
     lam = np.linspace(-3, 3, 41)
     vals = fl.predicted_char(lam, pred)
     assert np.allclose(np.abs(vals), np.exp(-lam ** 2 * pred.variance / 2), atol=1e-14)
     assert np.all(np.abs(vals) <= 1.0)
-    flat = fl.CltPrediction(variance=1.0, mean_shift=0.0, cubic=0.0, beta=1)
+    flat = fl.CltPrediction(variance=1.0, mean_shift=0.0, cubic=0.0, beta=1, centering=0.0)
     assert np.allclose(fl.predicted_char(lam, flat).imag, 0.0)
 
 
 def test_prediction_positivity_guard():
     with pytest.raises(NumericalError):
-        fl.CltPrediction(variance=-1e-6, mean_shift=0.0, cubic=0.0, beta=1)
+        fl.CltPrediction(variance=-1e-6, mean_shift=0.0, cubic=0.0, beta=1, centering=0.0)
 
 
 def test_prediction_json_keys():
@@ -334,6 +336,26 @@ def test_gbe_log_variance_vs_series():
             core = series + (2 - beta) / 4.0 * tvec[1] ** 2 * p.trace
             kernel = fl.gbe_log_variance(z, beta, part)
             assert core == pytest.approx(kernel, rel=1e-8)
+
+
+def test_centering_is_the_rho_sc_rule_on_the_table_nodes():
+    # (t_0 - t_2)/2 on the 2048-node table is the Gauss-Chebyshev rule for int f d(rho_sc)
+    p = pf.profile_flat(30)
+    s = make_summary(p)
+    for f in (FX, FX2, tf.cheb_t_fn(3), tf.gauss_bump(0.3, 0.7), tf.log_real(0.3, 0.05),
+              tf.log_imag(0.3, 0.05)):
+        pred = fl.clt_prediction(f, p, s, 1)
+        assert pred.J <= 1024, f.label
+        rule = sc.integrate_rho_sc(f, nodes=2048).real
+        assert pred.centering == pytest.approx(rule, rel=1e-15, abs=1e-15), f.label
+
+
+def test_centering_of_a_small_eta_log_matches_the_closed_form():
+    # J climbs to 2048, so the table has 4096 nodes; a fixed 2048-node rule is 2.1e-6 off here
+    p = pf.profile_flat(20)
+    pred = fl.clt_prediction(tf.log_real(0.0, 3e-3), p, make_summary(p), 1)
+    assert pred.J == 2048
+    assert abs(pred.centering - sc.log_potential(0.0, 3e-3).real) <= 1e-8
 
 
 def test_clt_prediction_adaptive_J():

