@@ -209,8 +209,12 @@ def cmd_predict(args) -> int:
     summary = en.cumulant_summary(spec)
     try:
         pred = fl.clt_prediction(f, spec.profile, summary, spec.beta, check_paths=True)
-    except ValueError as exc:   # f is not finite at a node of the coefficient rule
+    except ValueError as exc:   # f is not finite at a quadrature node
         raise ConfigError(f"bad testfn: {exc}") from exc
+    if not pred.paths_agree:
+        print("warning: variance routes disagree: V = {!r}, V_integral = {!r} (K1 on {} nodes, "
+              "K2 on {})".format(pred.variance, pred.integral_variance, *fl.integral_nodes(spec.profile)),
+              file=sys.stderr)
     out = dict(pred.to_dict())
     out["V_integral"] = pred.integral_variance
     text = json.dumps(out, sort_keys=True)

@@ -9,20 +9,22 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.fft import dct
 
 from .ensemble import CumulantSummary
 from .errors import NumericalError
 from .profile import VarianceProfile, trace_powers
 from .semicircle import gauss_cheb_nodes
-from .testfn import ChebCoeffs, TestFunction, cheb_coeffs
+from .testfn import ChebCoeffs, TestFunction, cheb_coeffs, node_values
 
 _POSITIVITY_FLOOR = -1e-10
 _LAST_DECADE_FRACTION = 1e-9
 _J_CAP = 2048
 _CHEB_NODES = 2048     # Gauss-Chebyshev nodes for the coefficients; raised to 2J when J outgrows it
-_INTEGRAL_NODES = 400  # Gauss-Chebyshev nodes of the integral route's double sum
+_INTEGRAL_NODES = 400  # Gauss-Chebyshev nodes of the integral route's K1, and the fewest of K2
+_MAX_PROFILE_NODES = 2 ** 17  # K2's node cap, reached when 1 - rho < 1.2e-4
 _A_EIG_CUTOFF = 1e-14  # deflated eigenvalues below this contribute nothing to g
-_PHI_CHUNK = 256       # deflated eigenvalues per vectorized block of the g-kernel table
+_PHI_BLOCK = 2 * 400 * 256  # complex elements per vectorized block of the phi table
 
 
 @dataclass
@@ -104,43 +106,52 @@ def variance_series(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSu
     return float(V)
 
 
-def _pair_kernel_g(M: int, a_spectrum: np.ndarray) -> np.ndarray:
-    """g(x_j, x_k) on the M Gauss-Chebyshev nodes x_j = 2 cos(theta_j), theta_j = pi (j + 1/2)/M.
+def integral_nodes(profile: VarianceProfile) -> tuple:
+    """Node counts (K1, K2) of the integral route. K2's trapezoid rule on the circle converges
+    like rho^(2M), rho = max |a| over the deflated spectrum (1 - rho is profile.gap unless S
+    has an eigenvalue below -s_2), so M = 16/(1 - rho) reaches e^-32."""
+    rho = float(np.max(np.abs(profile.a_spectrum)))
+    M = int(np.ceil(16.0 / max(1.0 - rho, 16.0 / _MAX_PROFILE_NODES)))
+    return _INTEGRAL_NODES, max(_INTEGRAL_NODES, M)
 
-    g(x, y) = phi(m(x) m(y)) + phi(m(x) conj(m(y))), with m = msc_boundary and
-    phi(u) = Re sum_a a u / (1 - a u)^2 over the deflated spectrum a. The nodes carry the
-    structure: msc_boundary(x_j) = -exp(-i theta_j), so m_j m_k = exp(-i pi (j + k + 1)/M)
-    depends only on j + k and m_j conj(m_k) = exp(-i pi (j - k)/M) only on j - k. G is
-    therefore Hankel plus Toeplitz. Since a is real, phi(conj u) = phi(u), so both parts read
-    one table of phi at the 2M angles pi n / M: O(M N) terms, then an O(M^2) index gather.
-    """
+
+def _pair_kernel_phi(M: int, a_spectrum: np.ndarray) -> np.ndarray:
+    """phi(pi n / M), n = 0..M, for phi(theta) = Re sum_a a u / (1 - a u)^2 at u = exp(-i theta)
+    over the deflated spectrum a: O(M N) terms, in blocks of at most _PHI_BLOCK elements."""
     a = a_spectrum[np.abs(a_spectrum) > _A_EIG_CUTOFF]
-    if a.size == 0:
-        return np.zeros((M, M))
-    u = np.exp(-1j * np.pi * np.arange(2 * M) / M)
-    phi = np.zeros(2 * M)
-    for lo in range(0, a.size, _PHI_CHUNK):  # bounds the (2M, chunk) complex temporaries
-        au = np.multiply.outer(u, a[lo:lo + _PHI_CHUNK])
+    u = np.exp(-1j * np.pi * np.arange(M + 1) / M)
+    phi = np.zeros(M + 1)
+    step = max(1, _PHI_BLOCK // (M + 1))
+    for lo in range(0, a.size, step):
+        au = np.multiply.outer(u, a[lo:lo + step])
         phi += (au / (1.0 - au) ** 2).real.sum(axis=1)
-    j = np.arange(M)
-    return phi[np.add.outer(j, j) + 1] + phi[np.abs(np.subtract.outer(j, j))]
+    return phi
+
+
+def _profile_term(F: np.ndarray, a_spectrum: np.ndarray) -> float:
+    """K2 = F^T G F / M^2 for f's values F on the M Gauss-Chebyshev nodes, without forming G.
+    msc_boundary(x_j) = -exp(-i theta_j) makes G_jk = phi(theta_j + theta_k) + phi(theta_j -
+    theta_k), and phi, even and 2 pi-periodic, is the cosine sum of dct(phi, 1) on the angles
+    pi n / M, so K2 = sum_{k<M} dct(F, 2, ortho)_k^2 dct(phi, 1)_k / M^2."""
+    M = F.size
+    y = dct(_pair_kernel_phi(M, a_spectrum), type=1)[:M]
+    return float(np.sum(dct(F, type=2, norm="ortho") ** 2 * y)) / M ** 2
 
 
 def variance_integral(f: TestFunction, t: ChebCoeffs, profile: VarianceProfile,
                       summary: CumulantSummary, beta: int) -> float:
-    """Double-integral route: squared divided difference against the (4 - xy) kernel, plus the
-    profile-dependent g-kernel term, then the series route's finite-rank corrections, which
-    read t_1 and t_2 from its coefficients t."""
-    nodes = _INTEGRAL_NODES
+    """Double-integral route: K1, the squared divided difference against the (4 - xy) kernel,
+    plus K2, the g-kernel term, each on its integral_nodes grid, then the series route's
+    finite-rank corrections from t_1, t_2 of t. f not finite at a node raises ValueError."""
+    nodes, profile_nodes = integral_nodes(profile)
     x = gauss_cheb_nodes(nodes)
-    F = np.asarray(f(x), dtype=float)
+    F = node_values(f, x)
     dX = np.subtract.outer(x, x)
     np.fill_diagonal(dX, 1.0)
     dq = np.subtract.outer(F, F) / dX
-    np.fill_diagonal(dq, np.asarray(f.derivative(1)(x), dtype=float))
+    np.fill_diagonal(dq, node_values(f.derivative(1), x))
     K1 = float(np.sum(dq * dq * (4.0 - np.multiply.outer(x, x)))) / (2.0 * nodes * nodes)
-    G = _pair_kernel_g(nodes, profile.a_spectrum)
-    K2 = float(F @ G @ F) / (nodes * nodes)
+    K2 = _profile_term(node_values(f, gauss_cheb_nodes(profile_nodes)), profile.a_spectrum)
     trS = profile.trace
     return (K1 + K2) / beta + _correction_terms(_coeff(t.t, 1), _coeff(t.t, 2), trS, summary, beta)
 

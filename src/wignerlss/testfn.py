@@ -184,18 +184,21 @@ def _tail_estimate(t: np.ndarray) -> float:
     return float(seg.sum())
 
 
+def node_values(f, x: np.ndarray) -> np.ndarray:
+    """f (a callable, or its values) at the quadrature nodes x; ValueError names a non-finite one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.asarray(f(x) if callable(f) else f, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"test function is singular at quadrature node x_{bad[0]} = {float(x[bad[0]])!r}")
+    return vals
+
+
 def cheb_coeffs(f, J: int = 256, M: int = 2048) -> ChebCoeffs:
     """Discrete coefficients t_n = (2/M) sum_j f(x_j) cos(n pi (j+1/2)/M) at Gauss-Chebyshev nodes."""
     if M < 2 * J:
         raise ValueError(f"need M >= 2J, got M={M}, J={J}")
-    x = gauss_cheb_nodes(M)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(f(x) if callable(f) else f, dtype=float)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ValueError(f"test function is singular at quadrature node x_{j} = {float(x[j])!r}")
-    t = dct(vals, type=2)[: J + 1] / M
+    t = dct(node_values(f, gauss_cheb_nodes(M)), type=2)[: J + 1] / M
     return ChebCoeffs(t=t, J=J, tail_estimate=_tail_estimate(t))
 
 

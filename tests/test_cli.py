@@ -1,5 +1,6 @@
 import json
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,49 @@ def test_predict_band_small_gap_mean_shift(tmp_path, capsys):
     assert abs(out["E"]) <= 1e-9
     S2 = (1.0 - 1e-3) ** 2 / 7.0 + (2.0 - 1e-3) * 1e-3 / 1000.0  # row of S dotted with itself
     assert out["V"] == pytest.approx(4.0 * 1000 * S2, rel=1e-10)
+
+
+def test_predict_band_small_gap_paths_agree(tmp_path, capsys):
+    # K2's node count follows the gap 1.1e-3 (M = 14,831); at a fixed 400 nodes V_integral
+    # was 57,603 against V = 570.29
+    cfg = write_config(tmp_path, """
+    ensemble:
+      beta: 1
+      profile: {type: band, N: 1000, params: {W: 3}}
+    testfn: x2
+    """)
+    assert cli.main(["predict", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["paths_agree"] is True
+    assert abs(out["V_integral"] - out["V"]) <= 1e-9 * out["V"]
+    assert "warning" not in captured.err
+
+
+def test_predict_warns_when_routes_disagree(tmp_path, capsys):
+    # logre(0, 0.01) needs more than K1's 400 nodes; predict still exits 0
+    cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: flat, N: 20}
+    testfn: logre(0,0.01)
+    """)
+    assert cli.main(["predict", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["paths_agree"] is False
+    lines = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(lines) == 1, captured.err
+    assert repr(out["V"]) in lines[0] and repr(out["V_integral"]) in lines[0]
+    assert "K1 on 400 nodes, K2 on 400" in lines[0]
+    cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: flat, N: 20}
+    testfn: x2
+    """, "x2.yaml")
+    assert cli.main(["predict", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["paths_agree"] is True
+    assert captured.err == ""
 
 
 def test_predict_cheb(tmp_path, capsys):
@@ -376,6 +420,24 @@ def test_testfn_singular_at_a_node_is_config_error(tmp_path, capsys, monkeypatch
         assert "config error:" in err and f"x_700 = {E!r}" in err, err
         assert not out.exists() or not any(out.iterdir()), command
     assert calls == []
+
+
+def test_testfn_singular_at_an_integral_node_is_config_error(tmp_path, capsys):
+    # E on node x_100 of the integral route's 400-node grid, and on no node of the 2048-node
+    # coefficient rule: V_integral would be NaN, which is not JSON
+    E = float(gauss_cheb_nodes(400)[100])
+    assert E not in gauss_cheb_nodes(2048)
+    cfg = write_config(tmp_path, f"""
+    ensemble:
+      profile: {{type: flat, N: 20}}
+    testfn: logre({E!r},0)
+    """)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["predict", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error:" in captured.err and f"x_100 = {E!r}" in captured.err, captured.err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

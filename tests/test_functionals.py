@@ -59,16 +59,16 @@ def test_variance_series_details():
 
 
 def test_variance_paths_agree():
-    rng = np.random.default_rng(31)
-    p = pf.profile_random_ds(50, 13, roughness=0.7)
+    # band(300, 12) has gap 1.2e-2: K2 needs more than 400 nodes there
     fs = [FX, FX2, tf.cheb_t_fn(3), tf.gauss_bump(0.0, np.sqrt(0.5))]
-    for beta in (1, 2):
-        s = make_summary(p, beta, off=en.rademacher(), diag=en.two_point(0.25))
-        for f in fs:
-            t = tf.cheb_coeffs(f, J=64)
-            Vs = fl.variance_series(t, p, s, beta)
-            Vi = fl.variance_integral(f, t, p, s, beta)
-            assert abs(Vs - Vi) <= max(1e-5 * abs(Vs), 1e-7), f.label
+    for p in (pf.profile_random_ds(50, 13, roughness=0.7), pf.profile_band(300, 12)):
+        for beta in (1, 2):
+            s = make_summary(p, beta, off=en.rademacher(), diag=en.two_point(0.25))
+            for f in fs:
+                t = tf.cheb_coeffs(f, J=64)
+                Vs = fl.variance_series(t, p, s, beta)
+                Vi = fl.variance_integral(f, t, p, s, beta)
+                assert abs(Vs - Vi) <= max(1e-5 * abs(Vs), 1e-7), (p.N, f.label)
 
 
 def test_variance_integral_flat_f_x():
@@ -93,21 +93,44 @@ def pair_kernel_g_reference(M, a_spectrum):
 
 
 def test_pair_kernel_g_bounded_and_zero_for_flat():
-    G = fl._pair_kernel_g(101, pf.profile_flat(8).a_spectrum)
-    assert np.max(np.abs(G)) == 0.0
+    # g = phi(theta_j + theta_k) + phi(theta_j - theta_k), so |g| <= 2 max |phi|
+    F = np.asarray(FX2(sc.gauss_cheb_nodes(101)))
+    flat = pf.profile_flat(8).a_spectrum
+    assert np.max(np.abs(fl._pair_kernel_phi(101, flat))) == 0.0
+    assert fl._profile_term(F, flat) == 0.0
     p = pf.profile_band(40, 6)
-    G = fl._pair_kernel_g(101, p.a_spectrum)
+    phi = fl._pair_kernel_phi(101, p.a_spectrum)
     bound = np.sum(np.abs(p.a_spectrum)) * 2.0 / pf.validate(p)["spectral_gap"] ** 2
-    assert np.max(np.abs(G)) <= bound
+    assert phi.shape == (102,)
+    assert 2.0 * np.max(np.abs(phi)) <= bound
+    assert abs(fl._profile_term(F, p.a_spectrum)) <= bound * np.mean(np.abs(F)) ** 2
 
 
 def test_pair_kernel_g_matches_reference():
+    # K2 = F^T G F / M^2 against the dense G, for functions with and without symmetry
+    fs = [FX2, tf.cheb_t_fn(3), tf.gauss_bump(0.3, 0.7), tf.log_real(0.3, 0.05)]
     for p in (pf.profile_band(40, 6), pf.profile_random_ds(120, 7, roughness=0.8)):
         for M in (1, 2, 7, 64, 400):
-            G = fl._pair_kernel_g(M, p.a_spectrum)
-            ref = pair_kernel_g_reference(M, p.a_spectrum)
-            assert G.shape == (M, M)
-            assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref)), (p.N, M)
+            x = sc.gauss_cheb_nodes(M)
+            G = pair_kernel_g_reference(M, p.a_spectrum)
+            for f in fs:
+                F = np.asarray(f(x), dtype=float)
+                ref = F @ G @ F / M ** 2
+                got = fl._profile_term(F, p.a_spectrum)
+                assert abs(got - ref) <= 1e-12 * abs(ref), (p.N, M, f.label)
+
+
+def test_integral_nodes_follow_the_gap():
+    assert fl.integral_nodes(pf.profile_flat(20)) == (400, 400)
+    assert fl.integral_nodes(pf.profile_random_ds(200, 3)) == (400, 400)
+    p = pf.profile_band(1000, 3)
+    assert p.gap == pytest.approx(1.08e-3, rel=1e-2)
+    assert fl.integral_nodes(p) == (400, int(np.ceil(16.0 / p.gap)))
+    # s_2 = -1 + 2e-9: profile.gap is about 2, but g has a pole next to u = -1, so M hits the cap
+    eps = 1e-9
+    two = pf.VarianceProfile.from_matrix(np.array([[eps, 1 - eps], [1 - eps, eps]]))
+    assert two.gap > 1.0
+    assert fl.integral_nodes(two) == (400, fl._MAX_PROFILE_NODES)
 
 
 def test_positivity_random_configs():
