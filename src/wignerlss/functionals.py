@@ -9,17 +9,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dct
 
 from .ensemble import CumulantSummary
 from .errors import NumericalError
 from .profile import VarianceProfile, trace_powers
-from .semicircle import gauss_cheb_nodes
-from .testfn import ChebCoeffs, TestFunction, cheb_coeffs, node_values
+from .semicircle import dct1, dct2, gauss_cheb_nodes
+from .testfn import J_CAP, ChebCoeffs, TestFunction, cheb_coeffs, node_values
 
 _POSITIVITY_FLOOR = -1e-10
 _LAST_DECADE_FRACTION = 1e-9
-_J_CAP = 2048
 _CHEB_NODES = 2048     # Gauss-Chebyshev nodes for the coefficients; raised to 2J when J outgrows it
 _INTEGRAL_NODES = 400  # Gauss-Chebyshev nodes of the integral route's K1, and the fewest of K2
 _MAX_PROFILE_NODES = 2 ** 17  # K2's node cap, reached when 1 - rho < 1.2e-4
@@ -131,11 +129,11 @@ def _pair_kernel_phi(M: int, a_spectrum: np.ndarray) -> np.ndarray:
 def _profile_term(F: np.ndarray, a_spectrum: np.ndarray) -> float:
     """K2 = F^T G F / M^2 for f's values F on the M Gauss-Chebyshev nodes, without forming G.
     msc_boundary(x_j) = -exp(-i theta_j) makes G_jk = phi(theta_j + theta_k) + phi(theta_j -
-    theta_k), and phi, even and 2 pi-periodic, is the cosine sum of dct(phi, 1) on the angles
-    pi n / M, so K2 = sum_{k<M} dct(F, 2, ortho)_k^2 dct(phi, 1)_k / M^2."""
+    theta_k), and phi, even and 2 pi-periodic, is the cosine sum of dct1(phi) on the angles
+    pi n / M, so K2 = sum_{k<M} w_k dct2(F)_k^2 dct1(phi)_k / (4 M^3), w_0 = 1, else w_k = 2."""
     M = F.size
-    y = dct(_pair_kernel_phi(M, a_spectrum), type=1)[:M]
-    return float(np.sum(dct(F, type=2, norm="ortho") ** 2 * y)) / M ** 2
+    terms = dct2(F) ** 2 * dct1(_pair_kernel_phi(M, a_spectrum))[:M]
+    return float(2.0 * np.sum(terms) - terms[0]) / (4.0 * M ** 3)
 
 
 def variance_integral(f: TestFunction, t: ChebCoeffs, profile: VarianceProfile,
@@ -251,7 +249,7 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
     Negligible means two things: the last decade carries at most _LAST_DECADE_FRACTION of the
     variance series, and its terms of the mean shift sum to at most _LAST_DECADE_FRACTION
     times max(1, sqrt V). The second is needed because V reads squared coefficients and E
-    reads them linearly. J stops at _J_CAP either way.
+    reads them linearly. J stops at J_CAP either way.
 
     The centering int f d(rho_sc) is (t_0 - t_2)/2, as rho_sc(x) dx = (1 - cos 2 theta)
     d theta / pi at x = 2 cos(theta). A test function that is not finite at a node raises
@@ -264,7 +262,7 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
             details["last_decade_fraction"] <= _LAST_DECADE_FRACTION
             and _mean_last_decade(t, profile, beta)
             <= _LAST_DECADE_FRACTION * max(1.0, np.sqrt(max(V, 0.0))))
-        if negligible or J >= _J_CAP:
+        if negligible or J >= J_CAP:
             break
         J *= 2
     paths_agree = Vi = None

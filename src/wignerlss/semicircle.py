@@ -99,6 +99,18 @@ def gauss_cheb_nodes(M: int) -> np.ndarray:
     return 2.0 * np.cos(np.pi * (np.arange(M) + 0.5) / M)
 
 
+def dct2(v: np.ndarray) -> np.ndarray:
+    """Unnormalised DCT-II, y_k = 2 sum_j v_j cos(pi k (j + 1/2)/M) for k < M = len(v)."""
+    M = len(v)
+    y = np.fft.rfft(np.concatenate([v, v[::-1]]))[:M]
+    return (y * np.exp(-0.5j * np.pi * np.arange(M) / M)).real
+
+
+def dct1(v: np.ndarray) -> np.ndarray:
+    """DCT-I of v_0..v_M, y_k = v_0 + (-1)^k v_M + 2 sum_{0<n<M} v_n cos(pi k n/M), k <= M."""
+    return np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real
+
+
 def integrate_rho_sc(g: Callable[[np.ndarray], np.ndarray], nodes: int = 2048) -> complex:
     """int g(x) rho_sc(x) dx over (-2, 2), weight absorbed into the rule."""
     x = gauss_cheb_nodes(nodes)

@@ -9,9 +9,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _npcheb
 from numpy.polynomial import polynomial as _nppoly
-from scipy.fft import dct
 
-from .semicircle import gauss_cheb_nodes, msc
+from .semicircle import dct2, gauss_cheb_nodes, msc
 
 _FD_STEP = 1e-5  # central-difference step for black-box derivatives
 
@@ -109,8 +108,8 @@ def log_imag(E: float, eta: float) -> TestFunction:
 
 def cheb_t_fn(n: int) -> TestFunction:
     """T_n as a TestFunction, evaluated stably in the Chebyshev basis (never via monomials)."""
-    if not (n >= 0 and float(n).is_integer()):
-        raise ValueError(f"Chebyshev order must be a non-negative integer, got {n!r}")
+    if not (0 <= n <= J_CAP and float(n).is_integer()):
+        raise ValueError(f"Chebyshev order must be an integer in [0, {J_CAP}], got {n!r}")
     n = int(n)
     e = np.zeros(n + 1)
     e[n] = 1.0
@@ -194,11 +193,14 @@ def node_values(f, x: np.ndarray) -> np.ndarray:
     return vals
 
 
+J_CAP = 2048  # the largest J a coefficient table reaches, so T_n above it would alias
+
+
 def cheb_coeffs(f, J: int = 256, M: int = 2048) -> ChebCoeffs:
     """Discrete coefficients t_n = (2/M) sum_j f(x_j) cos(n pi (j+1/2)/M) at Gauss-Chebyshev nodes."""
     if M < 2 * J:
         raise ValueError(f"need M >= 2J, got M={M}, J={J}")
-    t = dct(node_values(f, gauss_cheb_nodes(M)), type=2)[: J + 1] / M
+    t = dct2(node_values(f, gauss_cheb_nodes(M)))[: J + 1] / M
     return ChebCoeffs(t=t, J=J, tail_estimate=_tail_estimate(t))
 
 

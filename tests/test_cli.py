@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,7 +176,15 @@ def test_predict_cheb(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["paths_agree"] is True
     assert out["V"] == pytest.approx(1.5, abs=1e-10)
-    for bad in ("cheb(2.5)", "cheb(-1)", "cheb(inf)"):
+    # the coefficient table stops at J = 2048, so T_2049 would alias to a V near 0, not 2049/2
+    cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: flat, N: 50}
+    testfn: cheb(2048)
+    """, "cap.yaml")
+    assert cli.main(["predict", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["V"] == pytest.approx(1024.0, abs=1e-9)
+    for bad in ("cheb(2.5)", "cheb(-1)", "cheb(inf)", "cheb(2049)"):
         cfg = write_config(tmp_path, f"""
         ensemble:
           profile: {{type: flat, N: 10}}
@@ -180,6 +192,24 @@ def test_predict_cheb(tmp_path, capsys):
         """, "bad.yaml")
         assert cli.main(["predict", "--config", cfg]) == 2
         assert "Chebyshev order" in capsys.readouterr().err
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter: other tests import SciPy into this one
+    cfg = write_config(tmp_path, BASE.replace("testfn: x2", "testfn: gauss(0.3,0.7)"))
+    script = textwrap.dedent(f"""
+        import sys
+        from wignerlss import cli
+        assert cli.main(["predict", "--config", {cfg!r}]) == 0
+        assert cli.main(["simulate", "--config", {cfg!r}, "--out", {str(tmp_path / "out")!r},
+                         "--replicas", "4"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_config_errors(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 from scipy.integrate import quad
 
 from oracles import integrate_weighted
@@ -138,3 +139,14 @@ def test_gauss_cheb_rule_polynomial_exactness():
     assert integrate_weighted(lambda x: x ** 4, nodes=64) == pytest.approx(6 * np.pi, rel=1e-13)
     assert integrate_weighted(lambda x: x ** 2, nodes=64) == pytest.approx(2 * np.pi, rel=1e-13)
     assert sc.integrate_rho_sc(lambda x: x ** 2, nodes=64) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 400, 2048, 4096, 14831])
+def test_dct_helpers_match_scipy(M):
+    rng = np.random.default_rng(M)
+    v = rng.standard_normal(M)
+    ref = dct(v, type=2)
+    assert np.max(np.abs(sc.dct2(v) - ref)) <= 1e-15 * np.max(np.abs(ref))
+    w = rng.standard_normal(M + 1)
+    ref = dct(w, type=1)
+    assert np.max(np.abs(sc.dct1(w) - ref)) <= 1e-15 * np.max(np.abs(ref))
