@@ -212,9 +212,8 @@ def cmd_predict(args) -> int:
     except ValueError as exc:   # f is not finite at a quadrature node
         raise ConfigError(f"bad testfn: {exc}") from exc
     if not pred.paths_agree:
-        print("warning: variance routes disagree: V = {!r}, V_integral = {!r} (K1 on {} nodes, "
-              "K2 on {})".format(pred.variance, pred.integral_variance, *fl.integral_nodes(spec.profile)),
-              file=sys.stderr)
+        print("warning: variance routes disagree: V = {!r}, V_integral = {!r} (on {} nodes)".format(
+              pred.variance, pred.integral_variance, fl.integral_nodes(spec.profile, pred.J)), file=sys.stderr)
     out = dict(pred.to_dict())
     out["V_integral"] = pred.integral_variance
     text = json.dumps(out, sort_keys=True)

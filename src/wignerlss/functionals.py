@@ -19,8 +19,8 @@ from .testfn import J_CAP, ChebCoeffs, TestFunction, cheb_coeffs, node_values
 _POSITIVITY_FLOOR = -1e-10
 _LAST_DECADE_FRACTION = 1e-9
 _CHEB_NODES = 2048     # Gauss-Chebyshev nodes for the coefficients; raised to 2J when J outgrows it
-_INTEGRAL_NODES = 400  # Gauss-Chebyshev nodes of the integral route's K1, and the fewest of K2
-_MAX_PROFILE_NODES = 2 ** 17  # K2's node cap, reached when 1 - rho < 1.2e-4
+_INTEGRAL_NODES = 400  # the fewest Gauss-Chebyshev nodes of the integral route
+_MAX_PROFILE_NODES = 2 ** 17  # cap on the gap's node count, reached when 1 - rho < 1.2e-4
 _A_EIG_CUTOFF = 1e-14  # deflated eigenvalues below this contribute nothing to g
 _PHI_BLOCK = 2 * 400 * 256  # complex elements per vectorized block of the phi table
 
@@ -104,13 +104,14 @@ def variance_series(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSu
     return float(V)
 
 
-def integral_nodes(profile: VarianceProfile) -> tuple:
-    """Node counts (K1, K2) of the integral route. K2's trapezoid rule on the circle converges
-    like rho^(2M), rho = max |a| over the deflated spectrum (1 - rho is profile.gap unless S
-    has an eigenvalue below -s_2), so M = 16/(1 - rho) reaches e^-32."""
+def integral_nodes(profile: VarianceProfile, J: int) -> int:
+    """Node count M of the integral route: at least 2J, so f's expansion to degree J is
+    resolved, and 16/(1 - rho). K2's trapezoid rule on the circle converges like rho^(2M),
+    rho = max |a| over the deflated spectrum (1 - rho is profile.gap unless S has an
+    eigenvalue below -s_2), so M = 16/(1 - rho) reaches e^-32."""
     rho = float(np.max(np.abs(profile.a_spectrum)))
     M = int(np.ceil(16.0 / max(1.0 - rho, 16.0 / _MAX_PROFILE_NODES)))
-    return _INTEGRAL_NODES, max(_INTEGRAL_NODES, M)
+    return max(_INTEGRAL_NODES, 2 * J, M)
 
 
 def _pair_kernel_phi(M: int, a_spectrum: np.ndarray) -> np.ndarray:
@@ -136,22 +137,30 @@ def _profile_term(F: np.ndarray, a_spectrum: np.ndarray) -> float:
     return float(2.0 * np.sum(terms) - terms[0]) / (4.0 * M ** 3)
 
 
+def _flat_term(F: np.ndarray, dF: np.ndarray) -> float:
+    """K1 = (1/2M^2) sum_jk q_jk^2 (4 - x_j x_k) for f's values F and f's derivative dF on the
+    M Gauss-Chebyshev nodes, q_jk the divided difference (F_j - F_k)/(x_j - x_k) and q_jj =
+    dF_j, without forming q. Off the diagonal (4 - xy)/(x - y)^2 = [csc^2((a - b)/2) +
+    csc^2((a + b)/2)]/4 at x = 2 cos(a), y = 2 cos(b), and sum_{0<n<2M} sin^2(pi k n/2M) /
+    sin^2(pi n/2M) = k (2M - k), so the off-diagonal sum is sum_{k<M} k (2M - k) dct2(F)_k^2
+    / (4 M^3)."""
+    M = F.size
+    k = np.arange(M)
+    x = gauss_cheb_nodes(M)
+    off = float(np.sum(k * (2 * M - k) * dct2(F) ** 2)) / (2.0 * M)
+    return (off + float(np.sum(dF * dF * (4.0 - x * x)))) / (2.0 * M * M)
+
+
 def variance_integral(f: TestFunction, t: ChebCoeffs, profile: VarianceProfile,
                       summary: CumulantSummary, beta: int) -> float:
     """Double-integral route: K1, the squared divided difference against the (4 - xy) kernel,
-    plus K2, the g-kernel term, each on its integral_nodes grid, then the series route's
-    finite-rank corrections from t_1, t_2 of t. f not finite at a node raises ValueError."""
-    nodes, profile_nodes = integral_nodes(profile)
-    x = gauss_cheb_nodes(nodes)
+    plus K2, the g-kernel term, both on the integral_nodes(profile, t.J) grid, then the series
+    route's finite-rank corrections from t_1, t_2 of t. f not finite at a node raises
+    ValueError."""
+    x = gauss_cheb_nodes(integral_nodes(profile, t.J))
     F = node_values(f, x)
-    dX = np.subtract.outer(x, x)
-    np.fill_diagonal(dX, 1.0)
-    dq = np.subtract.outer(F, F) / dX
-    np.fill_diagonal(dq, node_values(f.derivative(1), x))
-    K1 = float(np.sum(dq * dq * (4.0 - np.multiply.outer(x, x)))) / (2.0 * nodes * nodes)
-    K2 = _profile_term(node_values(f, gauss_cheb_nodes(profile_nodes)), profile.a_spectrum)
-    trS = profile.trace
-    return (K1 + K2) / beta + _correction_terms(_coeff(t.t, 1), _coeff(t.t, 2), trS, summary, beta)
+    K = _flat_term(F, node_values(f.derivative(1), x)) + _profile_term(F, profile.a_spectrum)
+    return K / beta + _correction_terms(_coeff(t.t, 1), _coeff(t.t, 2), profile.trace, summary, beta)
 
 
 def mean_correction(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSummary,
@@ -196,9 +205,10 @@ def cubic_term(t: ChebCoeffs, summary: CumulantSummary) -> float:
 
 
 def predicted_char(lam, pred: CltPrediction):
-    """exp(-lam^2 V/2 + i lam^3 B/3 + i lam E); modulus <= 1."""
+    """exp(-lam^2 V/2 - i lam^3 B/6 + i lam E), the cumulant expansion to third order with
+    third cumulant B; modulus <= 1."""
     la = np.asarray(lam, dtype=float)
-    out = np.exp(-la ** 2 * pred.variance / 2.0 + 1j * (la ** 3 * pred.cubic / 3.0 + la * pred.mean_shift))
+    out = np.exp(-la ** 2 * pred.variance / 2.0 + 1j * (la * pred.mean_shift - la ** 3 * pred.cubic / 6.0))
     return complex(out) if np.ndim(lam) == 0 else out
 
 

@@ -23,7 +23,6 @@ class TestFunction:
     and is None for every other function.
     """
 
-    params: tuple
     fn: Callable = field(repr=False)
     deriv: Optional[Callable] = field(default=None, repr=False)
     label: str = ""
@@ -50,7 +49,6 @@ def polynomial(coeffs: Sequence[float], label: str = "") -> TestFunction:
         raise ValueError("polynomial needs at least one coefficient")
     d1 = _nppoly.polyder(c) if len(c) > 1 else np.zeros(1)
     return TestFunction(
-        params=c,
         fn=lambda x, c=c: _nppoly.polyval(x, c),
         deriv=lambda x, d=tuple(d1): _nppoly.polyval(x, d),
         label=label or "poly" + str(list(c)),
@@ -59,7 +57,7 @@ def polynomial(coeffs: Sequence[float], label: str = "") -> TestFunction:
 
 
 def smooth(fn: Callable, label: str = "smooth", deriv: Callable = None) -> TestFunction:
-    return TestFunction(params=(label,), fn=fn, deriv=deriv, label=label)
+    return TestFunction(fn=fn, deriv=deriv, label=label)
 
 
 def gauss_bump(center: float, width: float) -> TestFunction:
@@ -74,7 +72,7 @@ def gauss_bump(center: float, width: float) -> TestFunction:
     def f1(x):
         return -(x - c) / (w * w) * f(x)
 
-    return TestFunction(params=("gauss", c, w), fn=f, deriv=f1, label=f"gauss({c},{w})")
+    return TestFunction(fn=f, deriv=f1, label=f"gauss({c},{w})")
 
 
 def log_real(E: float, eta: float) -> TestFunction:
@@ -89,7 +87,7 @@ def log_real(E: float, eta: float) -> TestFunction:
         u = E - x
         return -u / (u * u + eta * eta)
 
-    return TestFunction(params=(E, eta), fn=f, deriv=f1, label=f"logre({E},{eta})")
+    return TestFunction(fn=f, deriv=f1, label=f"logre({E},{eta})")
 
 
 def log_imag(E: float, eta: float) -> TestFunction:
@@ -103,7 +101,7 @@ def log_imag(E: float, eta: float) -> TestFunction:
         u = E - x
         return eta / (u * u + eta * eta)
 
-    return TestFunction(params=(E, eta), fn=f, deriv=f1, label=f"logim({E},{eta})")
+    return TestFunction(fn=f, deriv=f1, label=f"logim({E},{eta})")
 
 
 def cheb_t_fn(n: int) -> TestFunction:
@@ -115,7 +113,6 @@ def cheb_t_fn(n: int) -> TestFunction:
     e[n] = 1.0
     d1 = _npcheb.chebder(e)
     return TestFunction(
-        params=("cheb", n),
         fn=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, e),
         deriv=lambda x: _npcheb.chebval(np.asarray(x) / 2.0, d1) / 2.0,
         label=f"T{n}",

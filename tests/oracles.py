@@ -73,3 +73,15 @@ def weighted_norm(f: TestFunction, d: int = 0, p: float = 1.0) -> float:
             raise ValueError("weighted norm integral did not converge (non-integrable singularity?)")
         total += val
     return float(total ** (1.0 / p))
+
+
+def flat_term_dense(f: TestFunction, M: int) -> float:
+    """K1 = (1/2M^2) sum_jk q_jk^2 (4 - x_j x_k) on the M Gauss-Chebyshev nodes, with the
+    M x M divided differences q_jk = (f(x_j) - f(x_k))/(x_j - x_k) formed and f' on the diagonal."""
+    x = gauss_cheb_nodes(M)
+    F = np.asarray(f(x), dtype=float)
+    dX = np.subtract.outer(x, x)
+    np.fill_diagonal(dX, 1.0)
+    q = np.subtract.outer(F, F) / dX
+    np.fill_diagonal(q, f.derivative(1)(x))
+    return float(np.sum(q * q * (4.0 - np.multiply.outer(x, x)))) / (2.0 * M * M)

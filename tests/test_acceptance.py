@@ -120,22 +120,21 @@ def test_characteristic_function_matches_prediction():
 
 
 def test_third_cumulant_magnitude_and_sign():
-    # skewed diagonal makes the cubic coefficient the only odd term; the sampled
-    # k3 must land within 50% of one of the two magnitude conventions
+    # skewed diagonal makes the cubic coefficient the only odd term; for f = x, B is the
+    # diagonal's third-cumulant sum, and the sampled k3 must land within 50% of B, sign included
     N, R = 100, 50000
     spec = en.EnsembleSpec(1, pf.profile_flat(N), en.gaussian(), en.two_point(0.1))
     cfg = hn.RunConfig(spec=spec, f=F_X, replicas=R, master_seed=909, lambda_grid=(0.0,))
     res = hn.run_ensemble(cfg)
     ks = res.kstats
-    b_mag = abs(res.prediction.cubic)
-    s3_mag = abs(en.cumulant_summary(spec).kappa3_diag_sum)
-    within_two_b = abs(abs(ks.k3) - 2.0 * b_mag) <= 0.5 * (2.0 * b_mag)
-    within_s3 = abs(abs(ks.k3) - s3_mag) <= 0.5 * s3_mag
-    assert within_two_b or within_s3, (ks.k3, b_mag, s3_mag)
+    B = res.prediction.cubic
+    assert B == pytest.approx(en.cumulant_summary(spec).kappa3_diag_sum, rel=1e-12)
+    assert abs(ks.k3 - B) <= 0.5 * abs(B), (ks.k3, B)
     assert abs(ks.k3) >= 3.0 * ks.se3
-    # the supported convention is recorded by the comparison report
-    report = hn.compare(res)
-    assert report["third_cumulant"]["convention_supported"] in ("|B|", "2|B|")
+    # the comparison report checks the signed k3 against B
+    tc = hn.compare(res)["third_cumulant"]
+    assert tc["predicted"] == B
+    assert tc["pass"], tc
 
 
 def test_variance_positivity_over_random_configs():

@@ -140,11 +140,12 @@ def test_predict_band_small_gap_paths_agree(tmp_path, capsys):
 
 
 def test_predict_warns_when_routes_disagree(tmp_path, capsys):
-    # logre(0, 0.01) needs more than K1's 400 nodes; predict still exits 0
+    # logre(0, 0.001): the series stops at J_CAP short of V, and the routes really disagree;
+    # predict still exits 0
     cfg = write_config(tmp_path, """
     ensemble:
       profile: {type: flat, N: 20}
-    testfn: logre(0,0.01)
+    testfn: logre(0,0.001)
     """)
     assert cli.main(["predict", "--config", cfg]) == 0
     captured = capsys.readouterr()
@@ -153,7 +154,7 @@ def test_predict_warns_when_routes_disagree(tmp_path, capsys):
     lines = [line for line in captured.err.splitlines() if line.startswith("warning:")]
     assert len(lines) == 1, captured.err
     assert repr(out["V"]) in lines[0] and repr(out["V_integral"]) in lines[0]
-    assert "K1 on 400 nodes, K2 on 400" in lines[0]
+    assert out["J"] == 2048 and "(on 4096 nodes)" in lines[0]
     cfg = write_config(tmp_path, """
     ensemble:
       profile: {type: flat, N: 20}
@@ -162,6 +163,22 @@ def test_predict_warns_when_routes_disagree(tmp_path, capsys):
     assert cli.main(["predict", "--config", cfg]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["paths_agree"] is True
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("N, testfn", [(50, "cheb(800)"), (50, "cheb(1500)"), (20, "logre(0,0.01)")])
+def test_predict_routes_agree_beyond_400_nodes(tmp_path, capsys, N, testfn):
+    # the integral route runs on 2J nodes; on a fixed 400-node grid T_800 vanishes at every
+    # node, T_1500 aliases, and logre(0, 0.01) is under-resolved
+    cfg = write_config(tmp_path, f"""
+    ensemble:
+      profile: {{type: flat, N: {N}}}
+    testfn: {testfn}
+    """)
+    assert cli.main(["predict", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["paths_agree"] is True, out
     assert captured.err == ""
 
 
@@ -453,13 +470,14 @@ def test_testfn_singular_at_a_node_is_config_error(tmp_path, capsys, monkeypatch
 
 
 def test_testfn_singular_at_an_integral_node_is_config_error(tmp_path, capsys):
-    # E on node x_100 of the integral route's 400-node grid, and on no node of the 2048-node
-    # coefficient rule: V_integral would be NaN, which is not JSON
-    E = float(gauss_cheb_nodes(400)[100])
-    assert E not in gauss_cheb_nodes(2048)
+    # E on node x_100 of band(1000, 3)'s 14,831-node integral grid, and on no node of the
+    # coefficient rules (2048 nodes, and 4096 at J = J_CAP): V_integral would be NaN, which
+    # is not JSON
+    E = float(gauss_cheb_nodes(14831)[100])
+    assert E not in gauss_cheb_nodes(2048) and E not in gauss_cheb_nodes(4096)
     cfg = write_config(tmp_path, f"""
     ensemble:
-      profile: {{type: flat, N: 20}}
+      profile: {{type: band, N: 1000, params: {{W: 3}}}}
     testfn: logre({E!r},0)
     """)
     with warnings.catch_warnings():

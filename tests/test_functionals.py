@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import weighted_norm
+from oracles import flat_term_dense, weighted_norm
 from wignerlss import ensemble as en
 from wignerlss import functionals as fl
 from wignerlss import profile as pf
@@ -121,16 +121,34 @@ def test_pair_kernel_g_matches_reference():
 
 
 def test_integral_nodes_follow_the_gap():
-    assert fl.integral_nodes(pf.profile_flat(20)) == (400, 400)
-    assert fl.integral_nodes(pf.profile_random_ds(200, 3)) == (400, 400)
+    assert fl.integral_nodes(pf.profile_flat(20), 8) == 400
+    assert fl.integral_nodes(pf.profile_random_ds(200, 3), 128) == 400
+    # 2J resolves f's expansion: J = 256 gives 512 nodes, J = J_CAP gives 4096
+    assert fl.integral_nodes(pf.profile_flat(20), 256) == 512
+    assert fl.integral_nodes(pf.profile_random_ds(200, 3), tf.J_CAP) == 2 * tf.J_CAP
     p = pf.profile_band(1000, 3)
     assert p.gap == pytest.approx(1.08e-3, rel=1e-2)
-    assert fl.integral_nodes(p) == (400, int(np.ceil(16.0 / p.gap)))
+    assert fl.integral_nodes(p, 256) == int(np.ceil(16.0 / p.gap))
+    assert fl.integral_nodes(p, tf.J_CAP) == int(np.ceil(16.0 / p.gap))
     # s_2 = -1 + 2e-9: profile.gap is about 2, but g has a pole next to u = -1, so M hits the cap
     eps = 1e-9
     two = pf.VarianceProfile.from_matrix(np.array([[eps, 1 - eps], [1 - eps, eps]]))
     assert two.gap > 1.0
-    assert fl.integral_nodes(two) == (400, fl._MAX_PROFILE_NODES)
+    assert fl.integral_nodes(two, tf.J_CAP) == fl._MAX_PROFILE_NODES
+
+
+def test_flat_term_matches_dense_reference():
+    # the closed DCT sum against the M x M divided-difference sum it replaces
+    names = ["x", "x2", "cheb(3)", "cheb(399)", "cheb(800)", "gauss(0.3,0.7)", "logre(0.3,0.05)",
+             "logim(0.3,0.05)", "logre(0,0.01)", [0.5, -1, 2]]
+    for M in (1, 2, 7, 400, 512, 2048):
+        x = sc.gauss_cheb_nodes(M)
+        for f in map(tf.from_name, names):
+            F = tf.node_values(f, x)
+            got = fl._flat_term(F, tf.node_values(f.derivative(1), x))
+            ref = flat_term_dense(f, M)
+            # T_800 vanishes on the 400 nodes, where both sums are about 4.6e-22
+            assert abs(got - ref) <= 1e-13 * abs(ref) + 1e-18, (M, f.label, got, ref)
 
 
 def test_positivity_random_configs():
@@ -151,7 +169,7 @@ def test_scaling_homogeneity():
     s = make_summary(p, 1, off=en.rademacher(), diag=en.two_point(0.2))
     f = tf.polynomial([0.3, -1.0, 0.5, 0.25])
     c = -2.7
-    cf = tf.polynomial([c * v for v in f.params])
+    cf = tf.polynomial([c * v for v in f.monomials])
     t, tc = tf.cheb_coeffs(f, J=16), tf.cheb_coeffs(cf, J=16)
     assert fl.variance_series(tc, p, s, 1) == pytest.approx(c ** 2 * fl.variance_series(t, p, s, 1), rel=1e-12)
     assert fl.cubic_term(tc, s) == pytest.approx(c ** 3 * fl.cubic_term(t, s), rel=1e-12)
@@ -271,6 +289,23 @@ def test_predicted_char():
     assert np.all(np.abs(vals) <= 1.0)
     flat = fl.CltPrediction(variance=1.0, mean_shift=0.0, cubic=0.0, beta=1, centering=0.0)
     assert np.allclose(fl.predicted_char(lam, flat).imag, 0.0)
+
+
+def test_predicted_char_matches_exact_product_for_trace():
+    # f = x: the statistic is tr H, a sum of independent diagonal entries, so its
+    # characteristic function is the product of theirs. The cubic term is (i lam)^3 B/6, and
+    # what is left is the kappa4 term, at most lam^4 |kappa4 sum|/24.
+    N, p = 100, 0.1
+    prof = pf.profile_flat(N)
+    s = make_summary(prof, 1, diag=en.two_point(p))
+    pred = fl.clt_prediction(FX, prof, s, 1)
+    assert pred.cubic == pytest.approx(s.kappa3_diag_sum, rel=1e-12)
+    q, scale = np.sqrt(p * (1.0 - p)), np.sqrt(np.diag(prof.S))
+    for lam in (0.5, 1.0, 2.0):
+        exact = np.prod((1 - p) * np.exp(-1j * lam * scale * p / q) + p * np.exp(1j * lam * scale * (1 - p) / q))
+        if lam == 1.0:
+            assert exact == pytest.approx(0.607231 - 0.027017j, abs=1e-6)
+        assert abs(fl.predicted_char(lam, pred) - exact) <= lam ** 4 * abs(s.kappa4_sum) / 24.0, lam
 
 
 def test_prediction_positivity_guard():

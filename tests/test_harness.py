@@ -301,13 +301,14 @@ def test_compare_power_against_inflated_variance():
 
 
 def test_compare_third_cumulant_conventions_recorded():
-    res = synthetic_result(R=5000, V=1.0, E=0.0, B=0.05, seed=9)
-    report = hn.compare(res)
-    tc = report["third_cumulant"]
-    assert tc["predicted_two_b"] == pytest.approx(0.1)
-    assert tc["predicted_one_b"] == pytest.approx(0.05)
-    assert tc["convention_supported"] in ("|B|", "2|B|")
-    assert tc["empirical_sign"] in (-1, 0, 1)
+    # one signed z-score, k3 against B itself: Gaussian samples (k3 near 0, se3 about 0.033)
+    # pass against B = +-0.05 and fail against B = +-0.5
+    for B in (0.05, -0.05, 0.5, -0.5):
+        tc = hn.compare(synthetic_result(R=5000, V=1.0, E=0.0, B=B, seed=9))["third_cumulant"]
+        assert set(tc) == {"estimate", "se", "predicted", "z", "threshold", "pass"}
+        assert tc["predicted"] == B
+        assert tc["z"] == pytest.approx((tc["estimate"] - B) / tc["se"], rel=1e-12)
+        assert tc["pass"] is (abs(B) < 0.1)
 
 
 def test_max_field_experiment_small():

@@ -150,7 +150,7 @@ def test_reconstruct_roundtrip_property(coeffs, x):
 
 
 def test_from_name():
-    assert tf.from_name("x").params == (0.0, 1.0)
+    assert tf.from_name("x").monomials == (0.0, 1.0)
     assert tf.from_name("x2")(3.0) == 9.0
     g = tf.from_name("gauss(0.3,0.7)")
     assert g(0.3) == pytest.approx(1.0)
