@@ -153,12 +153,18 @@ def sample(spec: EnsembleSpec, key: tuple) -> np.ndarray:
         H = np.zeros((N, N))
         xi *= off_scale
     else:
-        xi_im = spec.offdiag.sampler(rng, off_scale.size)
+        # off_scale * (xi + 1j xi_im), written part by part into one complex vector: no
+        # complex temporary is made, and each real draw is freed once it is used
+        z = np.empty(off_scale.size, dtype=complex)
+        np.multiply(off_scale, xi, out=z.real)
+        xi = z
+        np.multiply(off_scale, spec.offdiag.sampler(rng, off_scale.size), out=xi.imag)
         H = np.zeros((N, N), dtype=complex)
-        xi = off_scale * (xi + 1j * xi_im)
     # both triangles are written in place, so a draw allocates no second N x N matrix
     H[upper] = xi
-    H.T[upper] = xi.conj()
+    if spec.beta == 2:
+        np.conjugate(xi, out=xi)
+    H.T[upper] = xi
     d = spec.diag.sampler(rng, N)
     H[np.arange(N), np.arange(N)] = diag_scale * d
     return H

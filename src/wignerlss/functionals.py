@@ -129,7 +129,7 @@ def _pair_kernel_phi(M: int, a_spectrum: np.ndarray) -> np.ndarray:
 
 def _profile_term(F: np.ndarray, a_spectrum: np.ndarray) -> float:
     """K2 = F^T G F / M^2 for f's values F on the M Gauss-Chebyshev nodes, without forming G.
-    msc_boundary(x_j) = -exp(-i theta_j) makes G_jk = phi(theta_j + theta_k) + phi(theta_j -
+    m_sc(x_j + i0) = -exp(-i theta_j) makes G_jk = phi(theta_j + theta_k) + phi(theta_j -
     theta_k), and phi, even and 2 pi-periodic, is the cosine sum of dct1(phi) on the angles
     pi n / M, so K2 = sum_{k<M} w_k dct2(F)_k^2 dct1(phi)_k / (4 M^3), w_0 = 1, else w_k = 2."""
     M = F.size

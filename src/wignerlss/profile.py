@@ -29,8 +29,11 @@ class VarianceProfile:
     N: int
     S: np.ndarray
     spectrum: np.ndarray     # eigenvalues of S, descending; spectrum[0] = 1
-    a_spectrum: np.ndarray   # eigenvalues of A = S - ee*/N: spectrum with 1 -> 0, descending
     descriptor: dict = field(default_factory=dict)
+    a_spectrum: np.ndarray = field(init=False)  # of A = S - ee*/N: spectrum with 1 -> 0
+
+    def __post_init__(self):
+        self.a_spectrum = np.sort(np.append(self.spectrum[1:], 0.0))[::-1]
 
     @property
     def gap(self) -> float:
@@ -42,34 +45,58 @@ class VarianceProfile:
 
     @classmethod
     def from_matrix(cls, S: np.ndarray, descriptor: Optional[dict] = None) -> "VarianceProfile":
-        S = np.asarray(S, dtype=float)
+        S = _checked(S)
         N = S.shape[0]
-        if S.shape != (N, N):
-            raise ValueError("S must be square")
-        if not np.array_equal(S, S.T):
-            raise ValueError("S must be exactly symmetric")
-        if np.min(S) <= 0.0:
-            raise ValueError("S entries must be strictly positive")
-        e = np.ones(N)
-        if np.max(np.abs(S @ e - e)) > _ROW_SUM_TOL:
-            raise ValueError("S must be doubly stochastic: row sums deviate beyond 1e-10")
-        vals = np.linalg.eigvalsh(S)[::-1]
-        a_vals = np.sort(np.append(vals[1:], 0.0))[::-1]
         return cls(
             N=N,
             S=S,
-            spectrum=vals,
-            a_spectrum=a_vals,
+            spectrum=np.linalg.eigvalsh(S)[::-1],
             descriptor=descriptor or {"type": "matrix", "N": N, "params": {}, "seed": None},
         )
+
+    @classmethod
+    def from_circulant(cls, row: np.ndarray, descriptor: dict) -> "VarianceProfile":
+        """The circulant S_ij = row[(j - i) mod N], with from_matrix's checks.
+
+        A circulant's eigenvalues are the DFT of its first row, lambda_k = sum_j row_j
+        exp(-2 pi i jk/N). S is symmetric, so row_j = row_{N-j} and lambda_k = lambda_{N-k}
+        is real: one real FFT gives k = 0..N/2 and the rest mirror them. lambda_0 is the
+        row sum, the Perron 1 with eigenvector e; S is strictly positive, so it is the
+        largest and a_spectrum sets exactly that term to 0.
+        """
+        row = np.asarray(row, dtype=float)
+        N = row.size
+        # window k of (row_1, ..., row_{N-1}, row_0, ..., row_{N-1}) is row_{(k + 1 + j) mod N}
+        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[1:], row)), N)
+        S = _checked(windows[::-1].copy())
+        half = np.fft.rfft(row).real
+        lam = np.concatenate((half, half[1:(N + 1) // 2][::-1]))
+        return cls(N=N, S=S, spectrum=np.sort(lam)[::-1], descriptor=descriptor)
+
+
+def _checked(S) -> np.ndarray:
+    """S as a float array, after checking it is square, exactly symmetric, strictly positive
+    and doubly stochastic to _ROW_SUM_TOL."""
+    S = np.asarray(S, dtype=float)
+    N = S.shape[0]
+    if S.shape != (N, N):
+        raise ValueError("S must be square")
+    if not np.array_equal(S, S.T):
+        raise ValueError("S must be exactly symmetric")
+    if np.min(S) <= 0.0:
+        raise ValueError("S entries must be strictly positive")
+    e = np.ones(N)
+    if np.max(np.abs(S @ e - e)) > _ROW_SUM_TOL:
+        raise ValueError("S must be doubly stochastic: row sums deviate beyond 1e-10")
+    return S
 
 
 def profile_flat(N: int) -> VarianceProfile:
     """S_ij = 1/N: the classical Wigner profile; A = 0."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    return VarianceProfile.from_matrix(
-        np.full((N, N), 1.0 / N), {"type": "flat", "N": N, "params": {}, "seed": None}
+    return VarianceProfile.from_circulant(
+        np.full(N, 1.0 / N), {"type": "flat", "N": N, "params": {}, "seed": None}
     )
 
 
@@ -78,13 +105,11 @@ def profile_band(N: int, W: int) -> VarianceProfile:
     if not 1 <= W <= (N - 1) // 2:
         raise ValueError(f"need 1 <= W <= (N-1)/2, got W={W}, N={N}")
     idx = np.arange(N)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    dist = np.minimum(dist, N - dist)
+    dist = np.minimum(idx, N - idx)
     band = (dist <= W) / (2.0 * W + 1.0)
-    S = (1.0 - _BAND_BLEND) * band + _BAND_BLEND / N
-    S = 0.5 * (S + S.T)  # exact symmetry against any roundoff asymmetry
-    return VarianceProfile.from_matrix(
-        S, {"type": "band", "N": N, "params": {"W": int(W)}, "seed": None}
+    return VarianceProfile.from_circulant(
+        (1.0 - _BAND_BLEND) * band + _BAND_BLEND / N,
+        {"type": "band", "N": N, "params": {"W": int(W)}, "seed": None},
     )
 
 

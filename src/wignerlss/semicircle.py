@@ -18,27 +18,17 @@ def _maybe_scalar(a: np.ndarray, scalar_in: bool):
 def msc(z) -> complex:
     """Stieltjes transform of the semicircle law: the root of m^2 + z*m + 1 = 0 with |m| <= 1.
 
-    Requires Im z != 0 (use msc_boundary for real arguments in (-2, 2)).
+    Requires Im z != 0: on (-2, 2) the two boundary values are (-x +- i sqrt(4 - x^2))/2.
     Selects the small root via the large one to avoid cancellation near the edges.
     """
     scalar_in = np.isscalar(z) or np.ndim(z) == 0
     zz = np.asarray(z, dtype=complex)
     if np.any(zz.imag == 0.0):
-        raise ValueError("msc requires Im z != 0; use msc_boundary on (-2, 2)")
+        raise ValueError("msc requires Im z != 0; on the real axis it has two boundary values")
     s = np.sqrt(zz * zz - 4.0)
     # align the square root with z so that -(z + s) is the large-magnitude root
     s = np.where(zz.real * s.real + zz.imag * s.imag < 0.0, -s, s)
     m = -2.0 / (zz + s)
-    return _maybe_scalar(m, scalar_in)
-
-
-def msc_boundary(x) -> complex:
-    """Boundary value m_sc(x + i0) = (-x + i*sqrt(4 - x^2))/2 for x in (-2, 2); |result| = 1."""
-    scalar_in = np.isscalar(x) or np.ndim(x) == 0
-    xx = np.asarray(x, dtype=float)
-    if np.any(np.abs(xx) >= _EDGE):
-        raise ValueError("msc_boundary requires |x| < 2")
-    m = 0.5 * (-xx + 1j * np.sqrt(4.0 - xx * xx))
     return _maybe_scalar(m, scalar_in)
 
 

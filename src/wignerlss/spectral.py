@@ -15,6 +15,7 @@ from .testfn import TestFunction
 _CONSERVATION_TOL = 1e-8   # per-size budget for eigensolver trace identities
 _SUPPORT_LIMIT = 5.0       # test functions are only guaranteed evaluable here
 _HERMITIAN_TOL = 1e-12
+_FIELD_BLOCK = 1 << 16     # grid-by-spectrum terms per block of the log-field sum
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,10 @@ def log_char_field(sample: SpectralSample, E, eta: float):
     Re part: sum_j (1/2) log((eig_j - E)^2 + eta^2) minus N times the semicircle log
     potential (closed form on and off the axis). Im part at eta = 0: pi (#{eig > E} -
     N (1 - F_sc(E))); at eta > 0 the principal complex log is used throughout. E may be a
-    scalar or a grid; evaluation over a grid is vectorized with output in grid order.
+    scalar or a grid; output is in grid order. The sum over the spectrum runs over blocks
+    of grid points with at most _FIELD_BLOCK terms each (one row if N is larger), so the
+    temporaries take O(_FIELD_BLOCK + N + grid size) memory, not O(grid size * N); each
+    point's sum is the same as in one grid-wide sum.
     """
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
@@ -127,21 +131,29 @@ def log_char_field(sample: SpectralSample, E, eta: float):
     Es = np.atleast_1d(np.asarray(E, dtype=float))
     eigs = sample.eigs
     N = sample.N
+    if eta == 0.0 and np.any(np.abs(Es) >= 2.0):
+        raise ValueError("eta = 0 field needs E inside (-2, 2)")
+    total = np.empty(Es.size, dtype=float if eta == 0.0 else complex)
+    step = max(1, _FIELD_BLOCK // N)
+    for lo in range(0, Es.size, step):
+        block = Es[lo:lo + step]
+        if eta == 0.0:
+            diff = np.subtract.outer(block, eigs)
+            hit = np.any(diff == 0.0, axis=1)
+            if hit.any():
+                raise NumericalError(
+                    f"E = {float(block[hit][0])!r} collides with an eigenvalue at eta = 0")
+            np.abs(diff, out=diff)
+        else:
+            diff = np.subtract.outer(block + 1j * eta, eigs)
+        np.log(diff, out=diff)
+        np.sum(diff, axis=1, out=total[lo:lo + step])
     if eta == 0.0:
-        if np.any(np.abs(Es) >= 2.0):
-            raise ValueError("eta = 0 field needs E inside (-2, 2)")
-        diff = Es[:, None] - eigs[None, :]
-        if np.any(diff == 0.0):
-            hit = Es[np.any(diff == 0.0, axis=1)][0]
-            raise NumericalError(f"E = {hit!r} collides with an eigenvalue at eta = 0")
-        re = np.sum(np.log(np.abs(diff)), axis=1)
         counts = N - np.searchsorted(eigs, Es, side="right")
         im = np.pi * counts.astype(float)
         pot = sc.log_potential(Es)
-        out = (re - N * pot.real) + 1j * (im - N * pot.imag)
+        out = (total - N * pot.real) + 1j * (im - N * pot.imag)
     else:
-        z = Es[:, None] + 1j * eta
-        total = np.sum(np.log(z - eigs[None, :]), axis=1)
         out = total - N * sc.log_potential(Es, eta)
     if scalar_in:
         return complex(out[0])

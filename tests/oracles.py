@@ -8,8 +8,19 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as _npcheb
 
+from wignerlss import semicircle as sc
 from wignerlss.semicircle import gauss_cheb_nodes
 from wignerlss.testfn import ChebCoeffs, TestFunction
+
+
+def msc_boundary(x) -> complex:
+    """Boundary value m_sc(x + i0) = (-x + i*sqrt(4 - x^2))/2 for x in (-2, 2); |result| = 1."""
+    scalar_in = np.isscalar(x) or np.ndim(x) == 0
+    xx = np.asarray(x, dtype=float)
+    if np.any(np.abs(xx) >= 2.0):
+        raise ValueError("msc_boundary requires |x| < 2")
+    m = 0.5 * (-xx + 1j * np.sqrt(4.0 - xx * xx))
+    return m.item() if scalar_in else m
 
 
 def cheb_T(n: int, x):
@@ -85,3 +96,19 @@ def flat_term_dense(f: TestFunction, M: int) -> float:
     q = np.subtract.outer(F, F) / dX
     np.fill_diagonal(q, f.derivative(1)(x))
     return float(np.sum(q * q * (4.0 - np.multiply.outer(x, x)))) / (2.0 * M * M)
+
+
+def log_char_field_dense(eigs: np.ndarray, Es: np.ndarray, eta: float) -> np.ndarray:
+    """The centered log-determinant field at Es + i eta as one grid-by-spectrum array: the
+    sum over the ascending spectrum eigs of log|E - eig| (eta = 0) or log(E + i eta - eig),
+    the eigenvalue count above E times pi, and N times the semicircle log potential."""
+    N = eigs.size
+    if eta == 0.0:
+        re = np.sum(np.log(np.abs(Es[:, None] - eigs[None, :])), axis=1)
+        counts = N - np.searchsorted(eigs, Es, side="right")
+        im = np.pi * counts.astype(float)
+        pot = sc.log_potential(Es)
+        return (re - N * pot.real) + 1j * (im - N * pot.imag)
+    z = Es[:, None] + 1j * eta
+    total = np.sum(np.log(z - eigs[None, :]), axis=1)
+    return total - N * sc.log_potential(Es, eta)

@@ -66,6 +66,28 @@ def test_simulate_byte_determinism(tmp_path, capsys):
         assert outs[0] == outs[1] == outs[2], testfn
 
 
+def test_maxpoly_byte_determinism(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+    ensemble:
+      beta: 2
+      profile: {type: band, N: 60, params: {W: 10}}
+    run:
+      replicas: 6
+      master_seed: 3
+      maxfield: {kappa: 0.2, grid: 300}
+    """)
+    blobs = []
+    outs = []
+    for name, threads in (("a", "1"), ("b", "4"), ("c", "1")):
+        out = tmp_path / name
+        assert cli.main(["maxpoly", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 0
+        outs.append(capsys.readouterr().out)
+        blobs.append(((out / "ratios.csv").read_bytes(), (out / "maxpoly.json").read_bytes()))
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_simulate_replicas_and_seed_overrides(tmp_path):
     cfg = write_config(tmp_path, BASE)
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

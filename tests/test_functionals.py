@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flat_term_dense, weighted_norm
+from oracles import flat_term_dense, msc_boundary, weighted_norm
 from wignerlss import ensemble as en
 from wignerlss import functionals as fl
 from wignerlss import profile as pf
@@ -81,7 +81,7 @@ def test_variance_integral_flat_f_x():
 def pair_kernel_g_reference(M, a_spectrum):
     """g on the M Gauss-Chebyshev nodes by the direct O(N M^2) sum over the deflated spectrum."""
     a = a_spectrum[np.abs(a_spectrum) > fl._A_EIG_CUTOFF]
-    mx = np.asarray(sc.msc_boundary(sc.gauss_cheb_nodes(M)))
+    mx = np.asarray(msc_boundary(sc.gauss_cheb_nodes(M)))
     cp = np.multiply.outer(mx, mx)
     cm = np.multiply.outer(mx, mx.conj())
     G = np.zeros((M, M))
@@ -251,7 +251,7 @@ def mean_correction_reference(f, profile, summary, beta, nodes):
     if beta == 1:
         total += profile.trace * np.sum(F * (2.0 - x * x)) / (2.0 * nodes)
         total += (float(f(2.0)) + float(f(-2.0))) / 4.0
-        Mb = np.asarray(sc.msc_boundary(x)) ** 2
+        Mb = np.asarray(msc_boundary(x)) ** 2
         rt = pf.resolvent_trace(profile, Mb)
         total += np.sum(F * (Mb * rt).real) / nodes
     return float(total)

@@ -44,6 +44,41 @@ def test_band_halfwidth_limit_is_flat():
     assert np.allclose(p.S, 1.0 / N, atol=1e-15)
 
 
+def band_matrix_reference(N, W):
+    """Band S built entrywise from the circulant distance, as a full N x N matrix."""
+    idx = np.arange(N)
+    dist = np.abs(idx[:, None] - idx[None, :])
+    dist = np.minimum(dist, N - dist)
+    band = (dist <= W) / (2.0 * W + 1.0)
+    S = (1.0 - pf._BAND_BLEND) * band + pf._BAND_BLEND / N
+    return 0.5 * (S + S.T)
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 41, 301, 800])
+def test_circulant_spectrum_matches_eigensolver(N):
+    profiles = [pf.profile_flat(N)]
+    if N >= 3:
+        W = min(max(1, N // 8), (N - 1) // 2)
+        profiles.append(pf.profile_band(N, W))
+        assert profiles[-1].S.tobytes() == band_matrix_reference(N, W).tobytes()
+    for p in profiles:
+        assert p.spectrum.shape == (N,)
+        assert np.max(np.abs(p.spectrum - np.linalg.eigvalsh(p.S)[::-1])) <= 1e-13
+        assert p.spectrum[0] == pytest.approx(1.0, abs=1e-14)
+        want = p.spectrum.copy()
+        want[0] = 0.0
+        assert np.array_equal(p.a_spectrum, np.sort(want)[::-1])
+
+
+def test_circulant_checks_match_from_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        pf.VarianceProfile.from_circulant(np.array([0.5, 0.3, 0.2]), {"type": "x"})
+    with pytest.raises(ValueError, match="positive"):
+        pf.VarianceProfile.from_circulant(np.array([1.0, 0.0, 0.0]), {"type": "x"})
+    with pytest.raises(ValueError, match="doubly stochastic"):
+        pf.VarianceProfile.from_circulant(np.array([0.5, 0.3, 0.3]), {"type": "x"})
+
+
 def test_random_ds_profile():
     p = random_profile(30, seed=123)
     assert np.max(np.abs(p.S.sum(axis=1) - 1.0)) < 1e-12

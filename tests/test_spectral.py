@@ -1,6 +1,10 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import log_char_field_dense
 from wignerlss import ensemble as en
 from wignerlss import profile as pf
 from wignerlss import semicircle as sc
@@ -133,6 +137,43 @@ def test_field_collision_and_bulk_guards():
     with pytest.raises(ValueError):
         sp.log_char_field(s, 0.1, -0.1)
     sp.log_char_field(s, 0.5, 0.01)  # off the axis the collision is harmless
+
+
+def field_block_rows(N):
+    return max(1, sp._FIELD_BLOCK // N)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.05])
+def test_field_blocks_match_one_shot_sum(eta):
+    s = draw(N=300, seed=4)
+    B = field_block_rows(s.N)
+    for size in (1, B - 1, B, B + 1, 2000):
+        grid = np.linspace(-1.9, 1.9, size) if size > 1 else np.array([0.3])
+        got = sp.log_char_field(s, grid, eta)
+        assert got.tobytes() == log_char_field_dense(s.eigs, grid, eta).tobytes(), size
+
+
+def test_field_collision_in_last_block_is_named():
+    s = synthetic(np.random.default_rng(3).uniform(-1.9, 1.9, 800))
+    grid = np.linspace(-1.8, 1.8, 2000)
+    assert grid.size % field_block_rows(s.N) != 1  # the last block holds more than the hit
+    E = float(s.eigs[-5])
+    grid[-1] = E
+    with pytest.raises(NumericalError, match=f"^E = {re.escape(repr(E))} collides"):
+        sp.log_char_field(s, grid, 0.0)
+
+
+def test_field_memory_does_not_grow_with_grid():
+    s = synthetic(np.random.default_rng(8).uniform(-1.9, 1.9, 800))
+    grid = np.linspace(-1.8, 1.8, 2000)
+    sp.log_char_field(s, grid, 0.0)
+    tracemalloc.start()
+    try:
+        sp.log_char_field(s, grid, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # a grid-wide 2000 x 800 difference array alone is 12.8 MB
 
 
 def test_field_eta_monotone_and_consistent():
