@@ -114,16 +114,22 @@ def profile_band(N: int, W: int) -> VarianceProfile:
 
 
 def profile_random_ds(N: int, seed: int, roughness: float = 0.5) -> VarianceProfile:
-    """Symmetric Sinkhorn scaling of exp(roughness * g), g symmetric standard normal."""
+    """Symmetric Sinkhorn scaling of exp(roughness * g), g symmetric standard normal.
+
+    g is the upper triangle of one N x N standard normal draw, mirrored. Every step works
+    in place on that draw's buffer, so the build peaks at 2N^2 doubles: S and one copy,
+    first of S.T while symmetrizing, then eigvalsh's.
+    """
     if N < 2:
         raise ValueError("N must be >= 2")
     if not 0.0 <= roughness <= 1.0:
         raise ValueError("roughness must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    G = rng.standard_normal((N, N))
-    g = np.triu(G, 1)
-    g = g + g.T + np.diag(np.diag(G))
-    M = np.exp(roughness * g)
+    M = rng.standard_normal((N, N))
+    for i in range(1, N):
+        M[i, :i] = M[:i, i]
+    M *= roughness
+    np.exp(M, out=M)
 
     d = np.ones(N)
     resid = np.inf
@@ -135,8 +141,11 @@ def profile_random_ds(N: int, seed: int, roughness: float = 0.5) -> VarianceProf
         d = np.sqrt(d / Md)
     else:
         raise NumericalError(f"Sinkhorn did not converge: row-sum residual {resid:.3e}")
-    S = d[:, None] * M * d[None, :]
-    S = 0.5 * (S + S.T)
+    S = M
+    S *= d[:, None]
+    S *= d[None, :]
+    S += S.T   # numpy copies the overlapping S.T first, so this is 0.5 (S + S.T) bit for bit
+    S *= 0.5
     return VarianceProfile.from_matrix(
         S, {"type": "random", "N": N, "params": {"roughness": float(roughness)}, "seed": int(seed)}
     )
@@ -198,7 +207,8 @@ def profile_to_csv(profile: VarianceProfile, path) -> None:
 
 def profile_from_csv(path) -> VarianceProfile:
     S = np.loadtxt(path, delimiter=",", ndmin=2)
-    S = 0.5 * (S + S.T)
+    S += S.T
+    S *= 0.5
     return VarianceProfile.from_matrix(
         S, {"type": "csv", "N": S.shape[0], "params": {"path": str(path)}, "seed": None}
     )

@@ -8,6 +8,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as _npcheb
 
+from wignerlss import profile as pf
 from wignerlss import semicircle as sc
 from wignerlss.semicircle import gauss_cheb_nodes
 from wignerlss.testfn import ChebCoeffs, TestFunction
@@ -112,3 +113,26 @@ def log_char_field_dense(eigs: np.ndarray, Es: np.ndarray, eta: float) -> np.nda
     z = Es[:, None] + 1j * eta
     total = np.sum(np.log(z - eigs[None, :]), axis=1)
     return total - N * sc.log_potential(Es, eta)
+
+
+def profile_random_dense(N: int, seed: int, roughness: float = 0.5) -> pf.VarianceProfile:
+    """The Sinkhorn profile of profile_random_ds built out of place: g mirrored from the
+    upper triangle of G by triu/diag sums, M = exp(roughness g), S = DMD symmetrized."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    G = rng.standard_normal((N, N))
+    g = np.triu(G, 1)
+    g = g + g.T + np.diag(np.diag(G))
+    M = np.exp(roughness * g)
+    d = np.ones(N)
+    for _ in range(pf._SINKHORN_MAX_ITER):
+        Md = M @ d
+        if np.max(np.abs(d * Md - 1.0)) < pf._SINKHORN_TOL:
+            break
+        d = np.sqrt(d / Md)
+    else:
+        raise AssertionError("Sinkhorn did not converge")
+    S = d[:, None] * M * d[None, :]
+    S = 0.5 * (S + S.T)
+    return pf.VarianceProfile.from_matrix(
+        S, {"type": "random", "N": N, "params": {"roughness": float(roughness)}, "seed": int(seed)}
+    )

@@ -303,6 +303,15 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, ensemble, flags):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_config_error(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, BASE.replace("N: 10", "N: 20"))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--threads", threads]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+
+
 def test_json_config_accepted(tmp_path, capsys):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import profile_random_dense
 from wignerlss import profile as pf
 from wignerlss.errors import NumericalError
 
@@ -90,6 +93,28 @@ def test_random_ds_profile():
     assert not np.array_equal(p.S, r.S)
 
 
+@pytest.mark.parametrize("N, seed, roughness", [
+    (1000, 1, 0.5), (1000, 2, 0.5), (37, 5, 0.3), (200, 9, 1.0), (2, 3, 0.0)])
+def test_random_ds_matches_dense_construction(N, seed, roughness):
+    p = pf.profile_random_ds(N, seed, roughness)
+    q = profile_random_dense(N, seed, roughness)
+    assert p.S.tobytes() == q.S.tobytes()
+    assert p.spectrum.tobytes() == q.spectrum.tobytes()
+    assert p.descriptor == q.descriptor
+
+
+def test_random_ds_build_holds_two_matrices():
+    N = 600
+    pf.profile_random_ds(N, 1)
+    tracemalloc.start()
+    try:
+        pf.profile_random_ds(N, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * N * N  # S and the eigensolver's copy; out of place was 4.9 x 8N^2
+
+
 def test_random_ds_zero_roughness_is_flat():
     p = pf.profile_random_ds(12, seed=5, roughness=0.0)
     assert np.allclose(p.S, 1.0 / 12, atol=1e-13)
@@ -164,6 +189,17 @@ def test_csv_roundtrip(tmp_path):
     q = pf.profile_from_csv(path)
     assert np.allclose(p.S, q.S, atol=1e-15)
     assert q.descriptor["type"] == "csv"
+
+
+def test_csv_symmetrizes_like_the_dense_mean(tmp_path):
+    row = np.random.default_rng(4).uniform(0.5, 1.5, 9)
+    S = np.array([np.roll(row / row.sum(), i) for i in range(9)])  # doubly stochastic, not symmetric
+    assert not np.array_equal(S, S.T)
+    path = tmp_path / "S.csv"
+    np.savetxt(path, S, delimiter=",", fmt="%.17g")
+    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    q = pf.profile_from_csv(path)
+    assert q.S.tobytes() == (0.5 * (raw + raw.T)).tobytes()
 
 
 def test_descriptor_roundtrip():
