@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import ensemble as en
 from . import functionals as fl
@@ -50,12 +49,15 @@ def load_config(path) -> dict:
         text = p.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
+    if p.suffix == ".json":
+        parse, parse_error = json.loads, json.JSONDecodeError
+    else:
+        import yaml  # only here: a JSON config never pays for PyYAML's import
+
+        parse, parse_error = yaml.safe_load, yaml.YAMLError
     try:
-        if p.suffix == ".json":
-            cfg = json.loads(text)
-        else:
-            cfg = yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        cfg = parse(text)
+    except parse_error as exc:
         raise ConfigError(f"cannot parse {p}: {exc}") from exc
     cfg = _need_mapping(cfg, str(p))
     _check_keys(cfg, _TOP_KEYS, "config")

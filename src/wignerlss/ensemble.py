@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,32 +139,36 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample(spec: EnsembleSpec, key: tuple) -> np.ndarray:
+def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Draw one Hermitian matrix H with E|H_ij|^2 = S_ij; deterministic per (spec, key).
 
     key is the (master_seed, replica) pair of the replica's Philox stream.
     Draw order is fixed (off-diagonal, then imaginary parts for beta=2, then diagonal).
+    H is written into out, an N x N float (beta=1) or complex (beta=2) array, and out is
+    returned; every entry is overwritten, so out may hold anything. With out=None, H is
+    one fresh array.
     """
     rng = replica_rng(*key)
     N = spec.N
-    upper, off_scale, diag_scale = spec._sampling_scales
-    xi = spec.offdiag.sampler(rng, off_scale.size)
-    if spec.beta == 1:
-        H = np.zeros((N, N))
-        xi *= off_scale
+    dtype = np.float64 if spec.beta == 1 else np.complex128
+    if out is None:
+        H = np.empty((N, N), dtype=dtype)
+    elif out.shape != (N, N) or out.dtype != dtype:
+        raise ValueError(f"out must be an ({N}, {N}) {np.dtype(dtype).name} array, "
+                         f"got {out.shape} {out.dtype}")
     else:
-        # off_scale * (xi + 1j xi_im), written part by part into one complex vector: no
-        # complex temporary is made, and each real draw is freed once it is used
-        z = np.empty(off_scale.size, dtype=complex)
-        np.multiply(off_scale, xi, out=z.real)
-        xi = z
-        np.multiply(off_scale, spec.offdiag.sampler(rng, off_scale.size), out=xi.imag)
-        H = np.zeros((N, N), dtype=complex)
-    # both triangles are written in place, so a draw allocates no second N x N matrix
-    H[upper] = xi
-    if spec.beta == 2:
-        np.conjugate(xi, out=xi)
-    H.T[upper] = xi
+        H = out
+    upper, off_scale, diag_scale = spec._sampling_scales
+    # one scaled real vector at a time: the real parts, then for beta=2 the imaginary parts,
+    # each written to the upper triangle and mirrored (negated for Im H) onto the lower one
+    parts = (H,) if spec.beta == 1 else (H.real, H.imag)
+    for k, part in enumerate(parts):
+        xi = spec.offdiag.sampler(rng, off_scale.size)
+        xi *= off_scale
+        part[upper] = xi
+        if k == 1:
+            np.negative(xi, out=xi)
+        part.T[upper] = xi
     d = spec.diag.sampler(rng, N)
     H[np.arange(N), np.arange(N)] = diag_scale * d
     return H

@@ -4,6 +4,7 @@ k-statistic cumulant estimates, theory-vs-experiment reports, and the max-field 
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -219,9 +220,16 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
     Replica r is drawn from the Philox stream keyed by (master_seed, r), so the results do
     not depend on the thread count. The first failing replica, in index order, raises
     NumericalError naming it and the seed; queued replicas are cancelled first.
+
+    Each worker thread draws every one of its replicas into one H buffer of its own, so a
+    run allocates at most `threads` matrices and does not page a fresh one in per replica.
+    stat must therefore not keep H, or any view of it, after it returns.
     """
+    local = threading.local()
+
     def one(r):
-        return stat(en.sample(spec, (master_seed, r)), r)
+        local.H = en.sample(spec, (master_seed, r), out=getattr(local, "H", None))
+        return stat(local.H, r)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     rows = []

@@ -63,12 +63,15 @@ class VarianceProfile:
         is real: one real FFT gives k = 0..N/2 and the rest mirror them. lambda_0 is the
         row sum, the Perron 1 with eigenvector e; S is strictly positive, so it is the
         largest and a_spectrum sets exactly that term to 0.
+
+        S is a read-only strided view of one (2N - 1)-vector, so the profile holds O(N)
+        doubles, not N^2.
         """
         row = np.asarray(row, dtype=float)
         N = row.size
         # window k of (row_1, ..., row_{N-1}, row_0, ..., row_{N-1}) is row_{(k + 1 + j) mod N}
         windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[1:], row)), N)
-        S = _checked(windows[::-1].copy())
+        S = _checked(windows[::-1])
         half = np.fft.rfft(row).real
         lam = np.concatenate((half, half[1:(N + 1) // 2][::-1]))
         return cls(N=N, S=S, spectrum=np.sort(lam)[::-1], descriptor=descriptor)

@@ -94,9 +94,10 @@ def test_mean_shift_matches_monte_carlo_mean():
             summ = en.cumulant_summary(spec)
             vals = np.empty((len(fs), R))
             master = 500 + 10 * pidx + beta
+            H = None
             for r in range(R):
-                smp = en.sample(spec, (master, r))
-                eig = sp.eigenvalues(smp)
+                H = en.sample(spec, (master, r), out=H)
+                eig = sp.eigenvalues(H)
                 for i, f in enumerate(fs):
                     vals[i, r] = sp.lss(eig, f, centers[i])
             for i, f in enumerate(fs):

@@ -244,11 +244,33 @@ def test_commands_run_without_scipy(tmp_path):
                          "--replicas", "4"]) == 0
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    run = run_fresh_python(script)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def test_json_config_does_not_import_yaml(tmp_path):
+    # PyYAML is imported by load_config for a YAML config only
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"ensemble": {"profile": {"type": "flat", "N": 10}}, "testfn": "x2"}))
+    script = textwrap.dedent(f"""
+        import sys
+        from wignerlss import cli
+        print("yaml" in sys.modules)
+        assert cli.main(["predict", "--config", {str(cfg)!r}]) == 0
+        print("yaml" in sys.modules)
+    """)
+    run = run_fresh_python(script)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "False")
+
+
+def run_fresh_python(script: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports wignerlss from this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
 
 
 def test_config_errors(tmp_path, capsys):

@@ -173,3 +173,29 @@ def test_sample_trace_identities():
 def test_beta_validation():
     with pytest.raises(ValueError):
         en.EnsembleSpec(3, pf.profile_flat(4), en.gaussian(), en.gaussian())
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "two_point", "uniform"])
+def test_sample_into_out_matches_fresh_draw(beta, law):
+    entry = en.entry_from_config({"family": law, "p": 0.1} if law == "two_point" else law)
+    for p in (pf.profile_flat(17), pf.profile_band(41, 5), pf.profile_random_ds(30, 2)):
+        spec = en.EnsembleSpec(beta, p, entry, entry)
+        buf = np.full((p.N, p.N), np.nan, dtype=float if beta == 1 else complex)
+        if beta == 2:
+            buf.imag = np.nan  # so the diagonal's zero imaginary part must be written too
+        for r in range(2):
+            H = en.sample(spec, (5, r), out=buf)
+            assert H is buf
+            assert buf.tobytes() == en.sample(spec, (5, r)).tobytes()
+
+
+def test_sample_out_must_match_shape_and_dtype():
+    p = pf.profile_flat(6)
+    for beta, good in ((1, float), (2, complex)):
+        spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
+        bad_dtype = complex if beta == 1 else float
+        for out in (np.empty((6, 6), dtype=bad_dtype), np.empty((5, 6), dtype=good),
+                    np.empty((36,), dtype=good)):
+            with pytest.raises(ValueError, match="out must be"):
+                en.sample(spec, (1, 0), out=out)

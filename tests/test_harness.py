@@ -164,11 +164,11 @@ def test_failing_replica_cancels_the_rest(monkeypatch):
     real = en.sample
     calls = []
 
-    def counted(spec, key):
+    def counted(spec, key, **kw):
         calls.append(key)
         if key[1] == 0:
             raise RuntimeError("bad draw")
-        return real(spec, key)
+        return real(spec, key, **kw)
 
     monkeypatch.setattr(hn.en, "sample", counted)
     R = 200
@@ -248,8 +248,8 @@ def test_trace_route_skips_the_eigensolve(monkeypatch):
 def test_trace_route_non_finite_draw_reports_replica(monkeypatch):
     real = en.sample
 
-    def poisoned(spec, key):
-        H = real(spec, key)
+    def poisoned(spec, key, **kw):
+        H = real(spec, key, **kw)
         if key[1] == 3:
             H[1, 1] = np.nan
         return H
@@ -259,6 +259,32 @@ def test_trace_route_non_finite_draw_reports_replica(monkeypatch):
         cfg = small_config(N=20, R=8, seed=5, lambda_grid=(0.0,))
         with pytest.raises(NumericalError, match=r"replica 3 failed \(master_seed 5\)"):
             hn.run_ensemble(cfg, threads=threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_replicas_reuse_one_matrix_per_worker(monkeypatch, threads):
+    # every replica's H goes through the eigensolver; keeping each one shows how many
+    # distinct matrices a run allocates
+    real = sp.eigenvalues
+    kept = []
+
+    def keeping(H, *args, **kwargs):
+        kept.append(H)
+        return real(H, *args, **kwargs)
+
+    monkeypatch.setattr(hn.sp, "eigenvalues", keeping)
+    R = 12
+    cfg = small_config(N=20, R=R, lambda_grid=(0.0,), rigidity=0.25)
+    runs = {
+        "run_ensemble": lambda: hn.run_ensemble(cfg, threads=threads),
+        "max_field_experiment": lambda: hn.max_field_experiment(
+            cfg.spec, kappa=0.3, E_grid_size=150, R=R, master_seed=5, threads=threads),
+    }
+    for name, run in runs.items():
+        kept.clear()
+        run()
+        assert len(kept) == R, name
+        assert len({id(H) for H in kept}) <= threads, name
 
 
 def synthetic_result(R=20000, V=2.0, E=0.3, B=0.0, seed=1):

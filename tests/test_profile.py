@@ -73,6 +73,20 @@ def test_circulant_spectrum_matches_eigensolver(N):
         assert np.array_equal(p.a_spectrum, np.sort(want)[::-1])
 
 
+def test_band_build_holds_no_dense_matrix():
+    N, W = 1500, 50
+    pf.profile_band(N, W)
+    tracemalloc.start()
+    try:
+        p = pf.profile_band(N, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 8 * N * N  # S is a view of one (2N - 1)-vector; a dense S was 1.13
+    assert not p.S.flags.writeable
+    assert p.S.tobytes() == band_matrix_reference(N, W).tobytes()
+
+
 def test_circulant_checks_match_from_matrix():
     with pytest.raises(ValueError, match="symmetric"):
         pf.VarianceProfile.from_circulant(np.array([0.5, 0.3, 0.2]), {"type": "x"})
