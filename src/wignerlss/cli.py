@@ -225,11 +225,13 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _simulate(args):
+def _simulate(args, verify: bool = False):
     cfg = load_config(args.config)
     spec = _ensemble_from_config(_require(cfg, "ensemble"), args.quick)
     f = _testfn_from_config(_require(cfg, "testfn"))
     rc = _run_config(cfg, spec, f, args)
+    if verify and rc.replicas < 4:   # compare needs the k-statistics; checked before any draw
+        raise ConfigError("verify needs run.replicas >= 4")
     _warn_lambda_window(rc)
     try:
         res = hn.run_ensemble(rc, threads=args.threads, progress=_progress)
@@ -252,9 +254,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, res = _simulate(args)
-    if res.kstats is None:
-        raise ConfigError("verify needs run.replicas >= 4")
+    cfg, res = _simulate(args, verify=True)
     report = hn.compare(res)
     full = res.to_dict()
     report["prediction"] = full["prediction"]

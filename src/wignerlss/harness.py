@@ -92,12 +92,8 @@ class RunResult:
     char_emp: np.ndarray
     kstats: Optional[CumulantEstimates]   # None when replicas < 4
     prediction: fl.CltPrediction
-    max_re: Optional[np.ndarray] = None
-    max_im_plus: Optional[np.ndarray] = None
-    max_im_minus: Optional[np.ndarray] = None
-    collisions: tuple = ()
-    rigidity_max: Optional[np.ndarray] = None
-    rigidity_min: Optional[np.ndarray] = None
+    maxfield: Optional[dict] = None   # _max_columns's dict, as max_field_experiment returns
+    rigidity: Optional[dict] = None   # {"max": array, "min": array} over the replicas
 
     def to_dict(self) -> dict:
         out = {
@@ -111,18 +107,10 @@ class RunResult:
             "char_se": 1.0 / np.sqrt(len(self.lss_samples)),
             "kstats": dict(self.kstats._asdict()) if self.kstats is not None else None,
         }
-        if self.max_re is not None:
-            out["maxfield"] = {
-                "re_ratio": [float(v) for v in self.max_re],
-                "im_plus_ratio": [float(v) for v in self.max_im_plus],
-                "im_minus_ratio": [float(v) for v in self.max_im_minus],
-                "collisions": [[int(r), float(e)] for r, e in self.collisions],
-            }
-        if self.rigidity_max is not None:
-            out["rigidity"] = {
-                "max": [float(v) for v in self.rigidity_max],
-                "min": [float(v) for v in self.rigidity_min],
-            }
+        for name, block in (("maxfield", self.maxfield), ("rigidity", self.rigidity)):
+            if block is not None:   # arrays as float lists, collisions as [replica, E] pairs
+                out[name] = {k: v.tolist() if isinstance(v, np.ndarray) else [list(c) for c in v]
+                             for k, v in block.items()}
         return out
 
     def to_json(self) -> str:
@@ -186,7 +174,7 @@ def _max_ratios(sample: sp.SpectralSample, kappa: float, grid_size: int, replica
     grid = np.linspace(-half, half, grid_size)
     collisions = []
     for _ in range(8):
-        hit = np.isin(grid, sample.eigs)
+        hit = sp.exact_hits(sample.eigs, grid)
         if not np.any(hit):
             break
         for e in grid[hit]:
@@ -202,14 +190,13 @@ def _max_ratios(sample: sp.SpectralSample, kappa: float, grid_size: int, replica
     )
 
 
-def _max_columns(quads: list) -> tuple:
-    """Per-replica _max_ratios quads as (re, im_plus, im_minus) arrays and one collision tuple."""
-    return (
-        np.array([q[0] for q in quads]),
-        np.array([q[1] for q in quads]),
-        np.array([q[2] for q in quads]),
-        tuple(c for q in quads for c in q[3]),
-    )
+def _max_columns(quads: list) -> dict:
+    """Per-replica _max_ratios quads as the re, im_plus and im_minus ratio arrays and one
+    collision tuple, in replica order: the max-field block of every output."""
+    re, im_plus, im_minus, collisions = zip(*quads)
+    return {"re_ratio": np.array(re), "im_plus_ratio": np.array(im_plus),
+            "im_minus_ratio": np.array(im_minus),
+            "collisions": tuple(c for cs in collisions for c in cs)}
 
 
 def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
@@ -277,28 +264,25 @@ def run_ensemble(config: RunConfig, threads: int = 1,
             if config.maxfield is not None:
                 out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
             if config.rigidity is not None:
-                st = sp.rigidity_stats(s, config.rigidity)
-                out["rigidity"] = (st.max_stat, st.min_stat)
+                out["rigidity"] = sp.rigidity_stats(s, config.rigidity)
             return out
 
     R = config.replicas
     rows = _map_replicas(config.spec, config.master_seed, R, stat, threads, progress)
     lss_samples = np.array([row["lss"] for row in rows])
-    result = RunResult(
+    rigidity = None
+    if config.rigidity is not None:
+        rig_max, rig_min = np.array([row["rigidity"] for row in rows]).T
+        rigidity = {"max": rig_max, "min": rig_min}
+    return RunResult(
         config=config,
         lss_samples=lss_samples,
         char_emp=empirical_char(lss_samples, np.asarray(config.lambda_grid)),
         kstats=cumulant_estimates(lss_samples) if R >= 4 else None,
         prediction=prediction,
+        maxfield=_max_columns([row["max"] for row in rows]) if config.maxfield else None,
+        rigidity=rigidity,
     )
-    if config.maxfield is not None:
-        (result.max_re, result.max_im_plus, result.max_im_minus,
-         result.collisions) = _max_columns([row["max"] for row in rows])
-    if config.rigidity is not None:
-        pairs = [row["rigidity"] for row in rows]
-        result.rigidity_max = np.array([p[0] for p in pairs])
-        result.rigidity_min = np.array([p[1] for p in pairs])
-    return result
 
 
 def compare(result: RunResult) -> dict:
@@ -356,10 +340,7 @@ def max_field_experiment(spec: en.EnsembleSpec, kappa: float, E_grid_size: int, 
     def stat(H: np.ndarray, r: int):
         return _max_ratios(sp.eigenvalues(H, check_hermitian=False), kappa, E_grid_size, r)
 
-    quads = _map_replicas(spec, master_seed, R, stat, threads, progress)
-    re, im_plus, im_minus, collisions = _max_columns(quads)
-    return {"re_ratio": re, "im_plus_ratio": im_plus, "im_minus_ratio": im_minus,
-            "collisions": collisions}
+    return _max_columns(_map_replicas(spec, master_seed, R, stat, threads, progress))
 
 
 def samples_to_csv(path, samples: np.ndarray) -> None:

@@ -10,7 +10,6 @@ import numpy as np
 from .errors import NumericalError
 
 _ROW_SUM_TOL = 1e-10        # construction-time Perron check
-_VALIDATE_TOL = 1e-8        # looser validation bound for large-N roundoff
 _BAND_BLEND = 1e-3          # flat blend restoring strict positivity of band profiles
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 10_000
@@ -154,25 +153,19 @@ def profile_random_ds(N: int, seed: int, roughness: float = 0.5) -> VarianceProf
     )
 
 
-def validate(profile_or_S) -> dict:
-    """Row-sum error, entry bounds (times N), and spectral gap; raises on hard violations."""
-    if isinstance(profile_or_S, VarianceProfile):
-        S, spectrum = profile_or_S.S, profile_or_S.spectrum
-    else:
-        S = np.asarray(profile_or_S, dtype=float)
-        spectrum = np.sort(np.linalg.eigvalsh(S))[::-1]
-    N = S.shape[0]
-    report = {
+def validate(profile: VarianceProfile) -> dict:
+    """Row-sum error, entry bounds (times N), and spectral gap of a constructed profile.
+
+    Construction has already rejected an S that is not strictly positive or not doubly
+    stochastic to 1e-10, so this only reports.
+    """
+    S = profile.S
+    return {
         "row_sum_err": float(np.max(np.abs(S.sum(axis=1) - 1.0))),
-        "min_entry_N": float(N * S.min()),
-        "max_entry_N": float(N * S.max()),
-        "spectral_gap": float(1.0 - spectrum[1]) if N > 1 else 1.0,
+        "min_entry_N": float(profile.N * S.min()),
+        "max_entry_N": float(profile.N * S.max()),
+        "spectral_gap": profile.gap,
     }
-    if report["row_sum_err"] > _VALIDATE_TOL:
-        raise ValueError(f"row sums deviate by {report['row_sum_err']:.3e} > {_VALIDATE_TOL}")
-    if S.min() <= 0.0:
-        raise ValueError("profile has a non-positive entry")
-    return report
 
 
 def trace_powers(profile: VarianceProfile, J: int) -> np.ndarray:

@@ -114,6 +114,12 @@ def lss(sample: SpectralSample, f: TestFunction, center: float) -> float:
     return float(np.sum(f(eigs)) - sample.N * center)
 
 
+def exact_hits(eigs: np.ndarray, E) -> np.ndarray:
+    """Mask of the points of E equal to some eigenvalue, by binary search on the ascending
+    spectrum eigs: the points at which the eta = 0 field is infinite."""
+    return np.searchsorted(eigs, E, "left") != np.searchsorted(eigs, E, "right")
+
+
 def log_char_field(sample: SpectralSample, E, eta: float):
     """Centered log-determinant field at E + i*eta, principal branch.
 
@@ -123,7 +129,8 @@ def log_char_field(sample: SpectralSample, E, eta: float):
     scalar or a grid; output is in grid order. The sum over the spectrum runs over blocks
     of grid points with at most _FIELD_BLOCK terms each (one row if N is larger), so the
     temporaries take O(_FIELD_BLOCK + N + grid size) memory, not O(grid size * N); each
-    point's sum is the same as in one grid-wide sum.
+    point's sum is the same as in one grid-wide sum. At eta = 0 a point equal to an
+    eigenvalue (exact_hits) raises NumericalError naming the first one in grid order.
     """
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
@@ -131,18 +138,18 @@ def log_char_field(sample: SpectralSample, E, eta: float):
     Es = np.atleast_1d(np.asarray(E, dtype=float))
     eigs = sample.eigs
     N = sample.N
-    if eta == 0.0 and np.any(np.abs(Es) >= 2.0):
-        raise ValueError("eta = 0 field needs E inside (-2, 2)")
+    if eta == 0.0:
+        if np.any(np.abs(Es) >= 2.0):
+            raise ValueError("eta = 0 field needs E inside (-2, 2)")
+        hit = exact_hits(eigs, Es)
+        if hit.any():
+            raise NumericalError(f"E = {float(Es[hit][0])!r} collides with an eigenvalue at eta = 0")
     total = np.empty(Es.size, dtype=float if eta == 0.0 else complex)
     step = max(1, _FIELD_BLOCK // N)
     for lo in range(0, Es.size, step):
         block = Es[lo:lo + step]
         if eta == 0.0:
             diff = np.subtract.outer(block, eigs)
-            hit = np.any(diff == 0.0, axis=1)
-            if hit.any():
-                raise NumericalError(
-                    f"E = {float(block[hit][0])!r} collides with an eigenvalue at eta = 0")
             np.abs(diff, out=diff)
         else:
             diff = np.subtract.outer(block + 1j * eta, eigs)

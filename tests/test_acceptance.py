@@ -179,15 +179,16 @@ def maxfield_runs():
 
 def test_max_field_ratio_medians_near_one(maxfield_runs):
     res = maxfield_runs
-    for arr in (res.max_re, res.max_im_plus, res.max_im_minus):
+    for arr in (res.maxfield["re_ratio"], res.maxfield["im_plus_ratio"],
+                res.maxfield["im_minus_ratio"]):
         med = float(np.median(arr))
         assert 0.5 < med < 1.5, (med, arr)
 
 
 def test_rigidity_max_statistic_order_one(maxfield_runs):
     res = maxfield_runs
-    inside = (res.rigidity_max > 0.3) & (res.rigidity_max < 1.7)
-    assert float(inside.mean()) >= 0.8, res.rigidity_max
+    inside = (res.rigidity["max"] > 0.3) & (res.rigidity["max"] < 1.7)
+    assert float(inside.mean()) >= 0.8, res.rigidity["max"]
 
 
 def test_chebyshev_layer_invariants():

@@ -409,6 +409,22 @@ def test_verify_fails_on_inflated_variance(tmp_path, capsys, monkeypatch):
     assert report["variance"]["z"] < -5.0
 
 
+def test_verify_rejects_fewer_than_4_replicas_before_any_draw(tmp_path, capsys, monkeypatch):
+    draws = []
+    real = hn.en.sample
+
+    def counted(spec, key, out=None):
+        draws.append(key)
+        return real(spec, key, out=out)
+
+    monkeypatch.setattr(hn.en, "sample", counted)
+    cfg = write_config(tmp_path, BASE.replace("replicas: 2", "replicas: 3"))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: verify needs run.replicas >= 4" in err
+    assert draws == [] and "replicas 3/3" not in err, err
+
+
 def test_maxpoly(tmp_path, capsys):
     cfg = write_config(tmp_path, """
     ensemble:

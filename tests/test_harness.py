@@ -362,9 +362,9 @@ def test_max_ratios_collision_nudge():
 def test_run_ensemble_with_experiments():
     cfg = small_config(N=120, R=3, maxfield=(0.2, 120), rigidity=0.1)
     res = hn.run_ensemble(cfg)
-    assert res.max_re.shape == (3,)
-    assert res.rigidity_max.shape == (3,)
-    assert np.all(res.rigidity_max >= res.rigidity_min)
+    assert res.maxfield["re_ratio"].shape == (3,)
+    assert res.rigidity["max"].shape == (3,)
+    assert np.all(res.rigidity["max"] >= res.rigidity["min"])
     d = res.to_dict()
     assert "maxfield" in d and "rigidity" in d
     json.dumps(d)
@@ -380,3 +380,14 @@ def test_samples_csv(tmp_path):
     hn.samples_to_csv(path, np.array([1.5, -0.25, 3.0]))
     back = np.loadtxt(path, skiprows=1)
     assert np.array_equal(back, [1.5, -0.25, 3.0])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_ensemble_maxfield_equals_max_field_experiment(threads):
+    cfg = small_config(N=120, R=3, beta=2, seed=9, maxfield=(0.2, 150))
+    block = hn.run_ensemble(cfg, threads=threads).maxfield
+    out = hn.max_field_experiment(cfg.spec, 0.2, 150, 3, master_seed=9, threads=threads)
+    assert set(block) == set(out)
+    for key in ("re_ratio", "im_plus_ratio", "im_minus_ratio"):
+        assert block[key].tobytes() == out[key].tobytes(), key
+    assert block["collisions"] == out["collisions"]

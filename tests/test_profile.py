@@ -159,10 +159,10 @@ def test_validate_rejections():
     S[0, 1] = S[1, 0] = 0.0
     S[0, 0] = S[1, 1] = 0.4
     with pytest.raises(ValueError):
-        pf.validate(S)
+        pf.VarianceProfile.from_matrix(S)
     bad = np.full((5, 5), 0.21)
     with pytest.raises(ValueError):
-        pf.validate(bad)
+        pf.VarianceProfile.from_matrix(bad)
 
 
 def test_resolvent_trace():

@@ -163,6 +163,27 @@ def test_field_collision_in_last_block_is_named():
         sp.log_char_field(s, grid, 0.0)
 
 
+def test_exact_hits_matches_isin():
+    eigs = np.array([-1.5, -0.25, 0.0, 0.0, 0.75, 1.25])   # 0.0 repeated
+    cases = [
+        np.array([-1.5, 1.25]),                        # first and last eigenvalue
+        np.array([-3.0, -1.5000001, 1.2500001, 9.0]),  # below and above the spectrum
+        np.array([-0.0, 0.0, 0.75, 0.5]),              # -0.0 against 0.0, a hit and a miss
+        np.linspace(-2.0, 2.0, 17),
+    ]
+    for E in cases:
+        assert np.array_equal(sp.exact_hits(eigs, E), np.isin(E, eigs)), E
+    E, eigs = np.array([0.0]), np.array([-0.0, 1.0])
+    assert np.array_equal(sp.exact_hits(eigs, E), np.isin(E, eigs)) and sp.exact_hits(eigs, E)[0]
+
+
+def test_field_names_first_collision_in_grid_order():
+    s = synthetic(np.array([-1.0, -0.5, 0.25, 0.5, 1.0]))
+    grid = np.array([0.9, 0.5, 0.1, -0.5])
+    with pytest.raises(NumericalError, match="^E = 0.5 collides"):
+        sp.log_char_field(s, grid, 0.0)
+
+
 def test_field_memory_does_not_grow_with_grid():
     s = synthetic(np.random.default_rng(8).uniform(-1.9, 1.9, 800))
     grid = np.linspace(-1.8, 1.8, 2000)
