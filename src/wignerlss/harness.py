@@ -61,8 +61,8 @@ class RunConfig:
         object.__setattr__(self, "lambda_grid", tuple(float(v) for v in lam))
         if self.maxfield is not None:
             object.__setattr__(self, "maxfield", _maxfield_params(*self.maxfield))
-        if self.rigidity is not None and not 0.0 < self.rigidity < 0.5:
-            raise ValueError("rigidity kappa must be in (0, 1/2)")
+        if self.rigidity is not None:   # an empty window fails here, before any draw
+            sp.rigidity_window(self.spec.N, self.rigidity)
 
     def descriptor(self) -> dict:
         return {
@@ -210,7 +210,8 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
 
     Each worker thread draws every one of its replicas into one H buffer of its own, so a
     run allocates at most `threads` matrices and does not page a fresh one in per replica.
-    stat must therefore not keep H, or any view of it, after it returns.
+    stat may overwrite H, as spectral.eigenvalues(H, overwrite=True) does, since the next
+    draw overwrites every entry; it must not keep H, or any view of it, after it returns.
     """
     local = threading.local()
 
@@ -259,7 +260,7 @@ def run_ensemble(config: RunConfig, threads: int = 1,
             return {"lss": sp.trace_lss(H, coeffs, center)}
     else:
         def stat(H: np.ndarray, r: int) -> dict:
-            s = sp.eigenvalues(H, check_hermitian=False)
+            s = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
             out = {"lss": sp.lss(s, config.f, center)}
             if config.maxfield is not None:
                 out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
@@ -338,7 +339,8 @@ def max_field_experiment(spec: en.EnsembleSpec, kappa: float, E_grid_size: int, 
         raise ValueError("replicas must be >= 1")
 
     def stat(H: np.ndarray, r: int):
-        return _max_ratios(sp.eigenvalues(H, check_hermitian=False), kappa, E_grid_size, r)
+        s = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+        return _max_ratios(s, kappa, E_grid_size, r)
 
     return _max_columns(_map_replicas(spec, master_seed, R, stat, threads, progress))
 

@@ -29,6 +29,7 @@ class VarianceProfile:
     S: np.ndarray
     spectrum: np.ndarray     # eigenvalues of S, descending; spectrum[0] = 1
     descriptor: dict = field(default_factory=dict)
+    row: Optional[np.ndarray] = None   # first row of a circulant S; None for a dense one
     a_spectrum: np.ndarray = field(init=False)  # of A = S - ee*/N: spectrum with 1 -> 0
 
     def __post_init__(self):
@@ -63,17 +64,27 @@ class VarianceProfile:
         row sum, the Perron 1 with eigenvector e; S is strictly positive, so it is the
         largest and a_spectrum sets exactly that term to 0.
 
-        S is a read-only strided view of one (2N - 1)-vector, so the profile holds O(N)
-        doubles, not N^2.
+        S is circulant_view(row), a read-only strided view of one (2N - 1)-vector, so the
+        profile holds O(N) doubles, not N^2; the profile keeps row, from which sampling
+        reads the entry scales.
         """
-        row = np.asarray(row, dtype=float)
+        row = np.array(row, dtype=float)
+        row.setflags(write=False)
         N = row.size
-        # window k of (row_1, ..., row_{N-1}, row_0, ..., row_{N-1}) is row_{(k + 1 + j) mod N}
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row[1:], row)), N)
-        S = _checked(windows[::-1])
+        S = _checked(circulant_view(row))
         half = np.fft.rfft(row).real
         lam = np.concatenate((half, half[1:(N + 1) // 2][::-1]))
-        return cls(N=N, S=S, spectrum=np.sort(lam)[::-1], descriptor=descriptor)
+        return cls(N=N, S=S, spectrum=np.sort(lam)[::-1], descriptor=descriptor, row=row)
+
+
+def toeplitz_view(v: np.ndarray) -> np.ndarray:
+    """The read-only N x N Toeplitz view T_ij = v[N - 1 + j - i] of a (2N - 1)-vector v."""
+    return np.lib.stride_tricks.sliding_window_view(v, (v.size + 1) // 2)[::-1]
+
+
+def circulant_view(row: np.ndarray) -> np.ndarray:
+    """The read-only N x N circulant view C_ij = row[(j - i) mod N] of an N-vector row."""
+    return toeplitz_view(np.concatenate((row[1:], row)))
 
 
 def _checked(S) -> np.ndarray:

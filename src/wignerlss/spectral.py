@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -37,7 +38,7 @@ class SpectralSample:
             raise ValueError("eigenvalues must be ascending")
         err1 = abs(float(np.sum(eigs)) - self.trace)
         err2 = abs(float(np.sum(eigs * eigs)) - self.frob_sq)
-        if err1 > _CONSERVATION_TOL * n or err2 > _CONSERVATION_TOL * n:
+        if not (err1 <= _CONSERVATION_TOL * n and err2 <= _CONSERVATION_TOL * n):   # NaN fails
             raise NumericalError(
                 f"spectrum fails conservation checks: |sum l - tr| = {err1:.3e}, "
                 f"|sum l^2 - frob^2| = {err2:.3e}, budget {_CONSERVATION_TOL * n:.3e}"
@@ -48,23 +49,73 @@ class SpectralSample:
         return self.eigs.size
 
 
-def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
+def _lapack_solvers() -> Optional[dict]:
+    """numpy's own LAPACKE drivers dsyevd and zheevd, by the dtype they solve, or None.
+
+    numpy's pip wheels link a 64-bit-integer OpenBLAS (scipy-openblas64) whose symbols
+    carry the scipy_ prefix and 64_ suffix; dlsym on numpy's linalg extension module finds
+    them in that library. Other builds (Accelerate, MKL, a system LAPACK) lack the names
+    and get None, so eigenvalues falls back to np.linalg.eigvalsh.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        solvers = {np.dtype(np.float64): lib.scipy_LAPACKE_dsyevd64_,
+                   np.dtype(np.complex128): lib.scipy_LAPACKE_zheevd64_}
+    except (AttributeError, OSError):
+        return None
+    for fn in solvers.values():
+        # (layout, jobz, uplo, n, a, lda, w) -> info
+        fn.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        fn.restype = ctypes.c_int64
+    return solvers
+
+
+_LAPACK = _lapack_solvers()
+_COL_MAJOR = 102
+
+
+def eigenvalues(H: np.ndarray, check_hermitian: bool = True,
+                overwrite: bool = False) -> SpectralSample:
     """Full ascending spectrum of a Hermitian matrix via a dense symmetric solver.
 
     check_hermitian=False skips the symmetry test, for matrices that ensemble.sample built
-    exactly Hermitian.
+    exactly Hermitian. tr H and ||H||_F^2 are read first; a non-finite entry raises
+    NumericalError, as does a solver failure.
+
+    By default H is left unchanged: np.linalg.eigvalsh solves a copy. overwrite=True lets
+    the solver destroy H instead: where numpy exports LAPACKE's dsyevd and zheevd (its
+    OpenBLAS pip wheels), a C-contiguous float64 or complex128 H is solved in place, with
+    no N x N copy, by the routine eigvalsh runs on its copy. That route reads the upper
+    triangle of H and eigvalsh the lower one, so on an exactly Hermitian H, as
+    ensemble.sample draws, the eigenvalues are the same bytes. Elsewhere overwrite=True
+    takes the eigvalsh route and H is not changed.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be square")
     if check_hermitian and not np.allclose(H, H.conj().T, rtol=0.0, atol=_HERMITIAN_TOL):
         raise ValueError("H must be Hermitian")
-    try:
-        eigs = np.linalg.eigvalsh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     trace = float(np.trace(H).real)
     frob_sq = float(np.vdot(H, H).real)
+    if not np.isfinite(frob_sq):
+        raise NumericalError(f"non-finite matrix: ||H||_F^2 = {frob_sq!r}")
+    solve = None
+    if overwrite and _LAPACK is not None and H.flags.carray:   # C-contiguous, aligned, writeable
+        solve = _LAPACK.get(H.dtype)
+    if solve is None:
+        try:
+            eigs = np.linalg.eigvalsh(H)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+    else:
+        # LAPACK reads the C-order buffer as H^T = conj(H): each step is the exact conjugate
+        # of the one on eigvalsh's copy of H, so the real eigenvalues come out the same
+        n = H.shape[0]
+        eigs = np.empty(n)
+        info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)
+        if info != 0:
+            raise NumericalError(f"eigenvalue solver failed: LAPACK info = {info}")
     return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq)
 
 
@@ -179,15 +230,22 @@ def _classical_all(N: int) -> np.ndarray:
     return g
 
 
-def _rigidity_vector(sample: SpectralSample, kappa: float) -> np.ndarray:
-    """Normalized gaps (pi/sqrt2) rho_sc(g_k) N (eig_k - g_k)/log N over the bulk window."""
+def rigidity_window(N: int, kappa: float) -> tuple:
+    """(k_lo, k_hi) = (ceil(kappa N), floor((1 - kappa) N)), the 1-based indices of the
+    kappa-bulk eigenvalues; ValueError if kappa is not in (0, 1/2) or the window is empty."""
     if not 0.0 < kappa < 0.5:
-        raise ValueError("kappa must be in (0, 1/2)")
-    N = sample.N
+        raise ValueError("rigidity kappa must be in (0, 1/2)")
     k_lo = int(np.ceil(kappa * N))
     k_hi = int(np.floor((1.0 - kappa) * N))
     if k_lo < 1 or k_lo > k_hi:
-        raise ValueError(f"empty bulk window for kappa = {kappa}, N = {N}")
+        raise ValueError(f"empty bulk window for rigidity kappa = {kappa}, N = {N}")
+    return k_lo, k_hi
+
+
+def _rigidity_vector(sample: SpectralSample, kappa: float) -> np.ndarray:
+    """Normalized gaps (pi/sqrt2) rho_sc(g_k) N (eig_k - g_k)/log N over the bulk window."""
+    N = sample.N
+    k_lo, k_hi = rigidity_window(N, kappa)
     ks = np.arange(k_lo, k_hi + 1)
     gam = _classical_all(N)[ks - 1]
     lam = sample.eigs[ks - 1]

@@ -425,6 +425,17 @@ def test_verify_rejects_fewer_than_4_replicas_before_any_draw(tmp_path, capsys, 
     assert draws == [] and "replicas 3/3" not in err, err
 
 
+def test_empty_rigidity_window_is_config_error_before_any_draw(tmp_path, capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, key, out=None: draws.append(key))
+    cfg = write_config(tmp_path, BASE.replace("N: 10", "N: 3").replace(
+        "master_seed: 11", "master_seed: 11\n  rigidity: 0.4"))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad run section: empty bulk window" in err, err
+    assert draws == []
+
+
 def test_maxpoly(tmp_path, capsys):
     cfg = write_config(tmp_path, """
     ensemble:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,31 @@ def test_sample_matches_reference():
                 for r in range(3):
                     H = en.sample(spec, (5, r))
                     assert H.tobytes() == sample_reference(spec, (5, r)).tobytes()
+
+
+def test_beta2_sample_holds_one_draw_vector():
+    N = 400
+    spec = en.EnsembleSpec(2, pf.profile_band(N, 40), en.gaussian(), en.gaussian())
+    H = en.sample(spec, (1, 0))   # builds the spec's sampling scales
+    tracemalloc.start()
+    try:
+        en.sample(spec, (1, 1), out=H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 8 * N * (N - 1) // 2   # the real and imaginary draws are never both live
+
+
+def test_circulant_sampling_scales_are_O_N():
+    for beta in (1, 2):
+        spec = en.EnsembleSpec(beta, pf.profile_band(800, 100), en.gaussian(), en.gaussian())
+        tracemalloc.start()
+        try:
+            spec._sampling_scales
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5   # packed scales and a dense mask take 3.2 MB at N = 800
 
 
 def test_sample_moments():

@@ -58,11 +58,76 @@ def test_eigenvalues_rejects_non_hermitian():
         sp.eigenvalues(np.zeros((2, 3)))
 
 
+def solver_profiles(N):
+    """A flat, a band and a random profile where N admits one; N = 1 has only the flat one."""
+    out = [pf.VarianceProfile.from_circulant(np.full(N, 1.0 / N), {"type": "flat", "N": N})]
+    if N >= 3:
+        out.append(pf.profile_band(N, max(1, N // 8)))
+    if N >= 2:
+        out.append(pf.profile_random_ds(N, 3))
+    return out
+
+
+@pytest.mark.skipif(sp._LAPACK is None, reason="numpy exports no LAPACKE eigenvalue drivers")
+@pytest.mark.parametrize("N", [1, 2, 37, 300])
+def test_inplace_solver_matches_eigvalsh(N):
+    for p in solver_profiles(N):
+        for beta in (1, 2):
+            spec = en.EnsembleSpec(beta, p, en.gaussian(), en.two_point(0.3))
+            H = en.sample(spec, (9, N))
+            want = np.linalg.eigvalsh(H)
+            before = H.copy()
+            s = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+            assert s.eigs.tobytes() == want.tobytes(), (p.descriptor, beta)
+            assert s.trace == float(np.trace(before).real)
+            if N > 2:   # the solver used H as its workspace
+                assert H.tobytes() != before.tobytes()
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+def test_fallback_solver_gives_the_same_sample(monkeypatch, beta):
+    spec = en.EnsembleSpec(beta, pf.profile_band(120, 9), en.rademacher(), en.gaussian())
+    H = en.sample(spec, (4, 1))
+    before = H.copy()
+    inplace = sp.eigenvalues(H.copy(), check_hermitian=False, overwrite=True)
+    monkeypatch.setattr(sp, "_LAPACK", None)
+    fallback = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+    assert H.tobytes() == before.tobytes()   # eigvalsh solves a copy
+    assert fallback.eigs.tobytes() == inplace.eigs.tobytes()
+    assert (fallback.trace, fallback.frob_sq) == (inplace.trace, inplace.frob_sq)
+
+
+def test_public_eigenvalues_leave_H_unchanged():
+    for beta in (1, 2):
+        spec = en.EnsembleSpec(beta, pf.profile_flat(50), en.gaussian(), en.gaussian())
+        H = en.sample(spec, (2, 0))
+        before = H.tobytes()
+        sp.eigenvalues(H)
+        sp.eigenvalues(H, check_hermitian=False)
+        assert H.tobytes() == before
+
+
+@pytest.mark.parametrize("lapack", ["in place", "fallback"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_raises_on_both_routes(monkeypatch, lapack, bad):
+    if lapack == "fallback":
+        monkeypatch.setattr(sp, "_LAPACK", None)
+    for beta in (1, 2):
+        spec = en.EnsembleSpec(beta, pf.profile_flat(30), en.gaussian(), en.gaussian())
+        for i, j in ((3, 3), (5, 2), (2, 5)):
+            H = en.sample(spec, (1, 0))
+            H[i, j] = bad
+            with pytest.raises(NumericalError):
+                sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+
+
 def test_sample_conservation_guard():
     with pytest.raises(NumericalError):
         sp.SpectralSample(eigs=np.array([0.0, 1.0]), trace=2.0, frob_sq=1.0)
     with pytest.raises(ValueError):
         sp.SpectralSample(eigs=np.array([1.0, 0.0]), trace=1.0, frob_sq=1.0)
+    with pytest.raises(NumericalError):
+        sp.SpectralSample(eigs=np.array([0.0, np.nan]), trace=0.0, frob_sq=0.0)
 
 
 def test_lss_exact_oracles():
@@ -263,6 +328,12 @@ def test_rigidity_window_validation():
         sp.rigidity_stats(s, 0.0)
     with pytest.raises(ValueError):
         sp.rigidity_stats(s, 0.6)
+    assert sp.rigidity_window(10, 0.25) == (3, 7)
+    assert sp.rigidity_window(3, 0.3) == (1, 2)
+    with pytest.raises(ValueError, match="empty bulk window"):
+        sp.rigidity_window(3, 0.4)   # ceil(1.2) = 2 > floor(1.8) = 1
+    with pytest.raises(ValueError, match="empty bulk window"):
+        sp.rigidity_stats(synthetic([-1.0, 0.0, 1.0]), 0.4)
 
 
 def test_stieltjes_basic_properties():
