@@ -64,6 +64,13 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _integer(value, key: str) -> int:
+    """value as an int: an int or a float with no fractional part, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require(cfg: dict, key: str) -> object:
     if key not in cfg:
         raise ConfigError(f"config needs a {key!r} section")
@@ -85,9 +92,13 @@ def _profile_from_config(d, quick: bool) -> pf.VarianceProfile:
     if kind == "csv" and not isinstance(params.get("path"), str):
         raise ConfigError(f"profile.params.path must be a string, got {params.get('path')!r}")
     try:
-        if quick and kind != "csv":
-            d["N"] = min(int(d["N"]), _QUICK_N)
-        if kind == "random" and not 0 <= int(d["seed"]) < 2 ** 64:  # a Philox key word
+        if kind != "csv":
+            N = _integer(d["N"], "profile.N")
+            d["N"] = min(N, _QUICK_N) if quick else N
+        if kind == "band":
+            _integer(params.get("W"), "profile.params.W")
+        # a random profile's seed is a Philox key word
+        if kind == "random" and not 0 <= _integer(d["seed"], "profile.seed") < 2 ** 64:
             raise ConfigError(f"profile.seed must lie in [0, 2**64), got {d['seed']}")
         return pf.profile_from_descriptor(d)
     except (KeyError, TypeError, ValueError, OSError) as exc:
@@ -136,11 +147,8 @@ def _replicas_and_seed(d: dict, args, default=None) -> tuple:
     replicas = args.replicas if args.replicas is not None else d.get("replicas", default)
     if replicas is None:
         raise ConfigError("run.replicas is required (or pass --replicas)")
-    try:
-        replicas = int(replicas)
-        seed = args.seed if args.seed is not None else int(d.get("master_seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run section: {exc}") from exc
+    replicas = _integer(replicas, "run.replicas")
+    seed = args.seed if args.seed is not None else _integer(d.get("master_seed", 0), "run.master_seed")
     if not 0 <= seed < 2 ** 64:  # a Philox key word
         raise ConfigError(f"master seed must lie in [0, 2**64), got {seed}")
     if args.quick:
@@ -155,7 +163,7 @@ def _maxfield_from_config(m, quick: bool) -> tuple:
     if "kappa" not in m or "grid" not in m:
         raise ConfigError("run.maxfield needs kappa and grid")
     try:
-        kappa, grid = float(m["kappa"]), int(m["grid"])
+        kappa, grid = float(m["kappa"]), _integer(m["grid"], "run.maxfield.grid")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad run.maxfield: {exc}") from exc
     return kappa, min(grid, _QUICK_GRID) if quick else grid

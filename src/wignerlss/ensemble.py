@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .profile import VarianceProfile, circulant_view, toeplitz_view
+from .profile import VarianceProfile, toeplitz_view
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,27 +104,12 @@ class EnsembleSpec:
 
     @functools.cached_property
     def _sampling_scales(self) -> tuple:
-        """(strict upper-triangle mask, packed scale, circulant scale, diagonal scale), once
-        per spec; the scale of entry (i, j) is sqrt(S_ij), sqrt(S_ij / 2) for beta = 2.
-
-        A dense S gives the packed scales of the N(N - 1)/2 upper entries, in mask order,
-        and no circulant scale. A circulant S (profile.row set) gives O(N) data: the mask is
-        a Toeplitz view of one (2N - 1)-vector, and the scales are one float when they are
-        all equal (flat) or else a circulant view of the N row scales, with no packed scale.
-        """
-        p = self.profile
-        N = p.N
-        if p.row is None:
-            S = p.S
-            upper = np.triu(np.ones(S.shape, dtype=bool), 1)
-            off = S[upper] / 2.0 if self.beta == 2 else S[upper]
-            return upper, np.sqrt(off), None, np.sqrt(np.diag(S))
-        upper = toeplitz_view(np.arange(2 * N - 1) >= N)
-        scale = np.sqrt(p.row / 2.0 if self.beta == 2 else p.row)
-        diag = np.sqrt(p.row[0])
-        if np.all(scale == scale[0]):
-            return upper, scale[0], None, diag
-        return upper, None, circulant_view(scale), diag
+        """(strict upper-triangle mask, entry scale, diagonal scale), once per spec: the mask
+        is a Toeplitz view of one (2N - 1)-vector, and the entry scale, sqrt(S_ij) or for
+        beta = 2 sqrt(S_ij / 2), is profile.sqrt_scaled's."""
+        upper = toeplitz_view(np.arange(2 * self.N - 1) >= self.N)
+        scale = self.profile.sqrt_scaled(0.5 if self.beta == 2 else 1.0)
+        return upper, scale, np.sqrt(np.diag(self.profile.S))
 
 
 @dataclass(frozen=True)
@@ -174,23 +159,20 @@ def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None) -> 
                          f"got {out.shape} {out.dtype}")
     else:
         H = out
-    upper, packed, circulant, diag_scale = spec._sampling_scales
+    upper, scale, diag_scale = spec._sampling_scales
     # one real vector at a time: the real parts, then for beta=2 the imaginary parts, each
-    # written to the upper triangle and mirrored (negated for Im H) onto the lower one. A
-    # circulant scale multiplies the written part in place, diagonal included (it is
-    # overwritten last); either way each entry is the one product xi * scale.
+    # written unscaled to the upper triangle, mirrored (negated for Im H) onto the lower one
+    # and multiplied in place by the scale, diagonal included (it is overwritten last), so
+    # each entry is the one product xi * scale.
     parts = (H,) if spec.beta == 1 else (H.real, H.imag)
     for k, part in enumerate(parts):
         xi = spec.offdiag.sampler(rng, N * (N - 1) // 2)
-        if packed is not None:
-            xi *= packed
         part[upper] = xi
         if k == 1:
             np.negative(xi, out=xi)
         part.T[upper] = xi
         del xi   # so that the next part's draw is the only live vector
-        if circulant is not None:
-            part *= circulant
+        part *= scale
     d = spec.diag.sampler(rng, N)
     H[np.arange(N), np.arange(N)] = diag_scale * d
     return H

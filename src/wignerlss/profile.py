@@ -43,6 +43,14 @@ class VarianceProfile:
     def trace(self) -> float:
         return float(np.trace(self.S))
 
+    def sqrt_scaled(self, c: float) -> np.ndarray:
+        """sqrt(c S), the sampling scale and the one reader of row: a circulant view of
+        sqrt(c row) for a circulant S, else one new N x N array (8 N^2 bytes)."""
+        if self.row is not None:
+            return circulant_view(np.sqrt(c * self.row))
+        scale = c * self.S
+        return np.sqrt(scale, out=scale)
+
     @classmethod
     def from_matrix(cls, S: np.ndarray, descriptor: Optional[dict] = None) -> "VarianceProfile":
         S = _checked(S)
@@ -65,8 +73,8 @@ class VarianceProfile:
         largest and a_spectrum sets exactly that term to 0.
 
         S is circulant_view(row), a read-only strided view of one (2N - 1)-vector, so the
-        profile holds O(N) doubles, not N^2; the profile keeps row, from which sampling
-        reads the entry scales.
+        profile holds O(N) doubles, not N^2; the profile keeps row, from which sqrt_scaled
+        builds the entry scales.
         """
         row = np.array(row, dtype=float)
         row.setflags(write=False)

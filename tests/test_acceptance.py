@@ -88,18 +88,16 @@ def test_mean_shift_matches_monte_carlo_mean():
     N, R = 300, 4000
     fs = [F_X2, tf.gauss_bump(0.3, 0.7)]
     centers = [float(sc.integrate_rho_sc(f, nodes=2048).real) for f in fs]
+
+    def stat(H, r):
+        eig = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+        return [sp.lss(eig, f, c) for f, c in zip(fs, centers)]
+
     for pidx, p in enumerate((pf.profile_flat(N), pf.profile_band(N, 12))):
         for beta in (1, 2):
             spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
             summ = en.cumulant_summary(spec)
-            vals = np.empty((len(fs), R))
-            master = 500 + 10 * pidx + beta
-            H = None
-            for r in range(R):
-                H = en.sample(spec, (master, r), out=H)
-                eig = sp.eigenvalues(H)
-                for i, f in enumerate(fs):
-                    vals[i, r] = sp.lss(eig, f, centers[i])
+            vals = np.array(hn._map_replicas(spec, 500 + 10 * pidx + beta, R, stat, 1, None)).T
             for i, f in enumerate(fs):
                 ks = hn.cumulant_estimates(vals[i])
                 target = fl.mean_correction(tf.cheb_coeffs(f), p, summ, beta)

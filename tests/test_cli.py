@@ -325,6 +325,44 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, ensemble, flags):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("profile, run, key", [
+    ("{type: band, N: 60.7, params: {W: 4}}", "{replicas: 6}", "profile.N"),
+    ("{type: flat, N: true}", "{replicas: 6}", "profile.N"),
+    ("{type: band, N: 60, params: {W: 4.9}}", "{replicas: 6}", "profile.params.W"),
+    ("{type: random, N: 20, seed: 1.5}", "{replicas: 6}", "profile.seed"),
+    ("{type: flat, N: 20}", "{replicas: 6.9}", "run.replicas"),
+    ("{type: flat, N: 20}", "{replicas: true}", "run.replicas"),
+    ("{type: flat, N: 20}", "{replicas: 6, master_seed: 2.5}", "run.master_seed"),
+    ("{type: flat, N: 20}", "{replicas: 6, maxfield: {kappa: 0.2, grid: 400.5}}", "run.maxfield.grid"),
+], ids=["N-fraction", "N-bool", "W-fraction", "seed-fraction", "replicas-fraction",
+        "replicas-bool", "master-seed-fraction", "grid-fraction"])
+def test_non_integral_sizes_are_config_errors_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                             profile, run, key):
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, k, out=None: draws.append(k))
+    cfg = write_config(tmp_path, f"ensemble:\n  profile: {profile}\ntestfn: x2\nrun: {run}\n")
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"{key} must be an integer" in err, err
+    assert draws == [] and not (out / "samples.csv").exists()
+
+
+def test_integral_float_sizes_are_accepted(tmp_path, capsys):
+    band = ("{type: band, N: %s, params: {W: %s}}\n"
+            "run: {replicas: %s, master_seed: %s, maxfield: {kappa: 0.2, grid: %s}}")
+    random = "{type: random, N: %s, seed: %s}\nrun: {replicas: %s, master_seed: %s}"
+    for text, ints in ((band, (60, 4, 4, 3, 300)), (random, (20, 1, 4, 3))):
+        blobs = []
+        for values in (ints, tuple(float(v) for v in ints)):
+            cfg = write_config(tmp_path, f"ensemble:\n  profile: {text % values}\ntestfn: x2\n")
+            out = tmp_path / type(values[0]).__name__
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0, values
+            blobs.append((out / "samples.csv").read_bytes() + (out / "summary.json").read_bytes())
+        assert blobs[0] == blobs[1], text
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_config_error(tmp_path, capsys, threads):
     cfg = write_config(tmp_path, BASE.replace("N: 10", "N: 20"))

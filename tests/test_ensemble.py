@@ -137,7 +137,7 @@ def sample_reference(spec, seed):
 
 def test_sample_matches_reference():
     for beta in (1, 2):
-        for p in (pf.profile_band(41, 5), pf.profile_random_ds(30, 2)):
+        for p in (pf.profile_flat(17), pf.profile_band(41, 5), pf.profile_random_ds(30, 2)):
             for off, dg in ((en.gaussian(), en.two_point(0.1)), (en.rademacher(), en.uniform())):
                 spec = en.EnsembleSpec(beta, p, off, dg)
                 for r in range(3):
@@ -158,16 +158,29 @@ def test_beta2_sample_holds_one_draw_vector():
     assert peak <= 1.2 * 8 * N * (N - 1) // 2   # the real and imaginary draws are never both live
 
 
+def scales_peak(spec):
+    """tracemalloc peak, in bytes, of building spec's sampling scales."""
+    tracemalloc.start()
+    try:
+        spec._sampling_scales
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_circulant_sampling_scales_are_O_N():
+    for p in (pf.profile_flat(800), pf.profile_band(800, 100)):
+        for beta in (1, 2):
+            spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
+            assert scales_peak(spec) < 1e5   # N^2 scales would take 5.1 MB at N = 800
+
+
+def test_dense_sampling_scales_hold_one_matrix():
+    N = 600
+    p = pf.profile_random_ds(N, 1)
     for beta in (1, 2):
-        spec = en.EnsembleSpec(beta, pf.profile_band(800, 100), en.gaussian(), en.gaussian())
-        tracemalloc.start()
-        try:
-            spec._sampling_scales
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e5   # packed scales and a dense mask take 3.2 MB at N = 800
+        spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
+        assert scales_peak(spec) <= 1.05 * 8 * N * N   # one N x N scale, sqrt taken in place
 
 
 def test_sample_moments():
