@@ -212,6 +212,11 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
     run allocates at most `threads` matrices and does not page a fresh one in per replica.
     stat may overwrite H, as spectral.eigenvalues(H, overwrite=True) does, since the next
     draw overwrites every entry; it must not keep H, or any view of it, after it returns.
+
+    BLAS runs on one thread for the whole map (spectral.one_blas_thread), and the caller's
+    thread count comes back when it returns or raises. Each replica's eigensolve then runs
+    on its own worker, so `threads` workers use `threads` cores, and the solver's last bits
+    do not depend on the BLAS setting.
     """
     local = threading.local()
 
@@ -221,19 +226,20 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     rows = []
-    try:
-        futures = [pool.submit(one, r) for r in range(R)] if pool else None
-        for r in range(R):
-            try:
-                rows.append(futures[r].result() if pool else one(r))
-            except Exception as exc:
-                raise NumericalError(
-                    f"replica {r} failed (master_seed {master_seed}): {exc}") from exc
-            if progress is not None:
-                progress(r + 1, R)
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    with sp.one_blas_thread:
+        try:
+            futures = [pool.submit(one, r) for r in range(R)] if pool else None
+            for r in range(R):
+                try:
+                    rows.append(futures[r].result() if pool else one(r))
+                except Exception as exc:
+                    raise NumericalError(
+                        f"replica {r} failed (master_seed {master_seed}): {exc}") from exc
+                if progress is not None:
+                    progress(r + 1, R)
+        finally:
+            if pool:
+                pool.shutdown(cancel_futures=True)
     return rows
 
 

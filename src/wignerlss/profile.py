@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -229,16 +230,25 @@ def profile_from_csv(path) -> VarianceProfile:
     )
 
 
+def _whole(value, key: str) -> int:
+    """value as an int: a real number with no fractional part, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def profile_from_descriptor(d: dict) -> VarianceProfile:
-    """Rebuild a profile from its {type, N, params, seed} descriptor."""
+    """Rebuild a profile from its {type, N, params, seed} descriptor. N, params.W and seed
+    must be integers (an integral float such as 60.0 is accepted); ValueError otherwise."""
     kind = d.get("type")
     params = d.get("params", {})
     if kind == "flat":
-        return profile_flat(int(d["N"]))
+        return profile_flat(_whole(d["N"], "N"))
     if kind == "band":
-        return profile_band(int(d["N"]), int(params["W"]))
+        return profile_band(_whole(d["N"], "N"), _whole(params["W"], "W"))
     if kind == "random":
-        return profile_random_ds(int(d["N"]), int(d["seed"]), float(params.get("roughness", 0.5)))
+        return profile_random_ds(_whole(d["N"], "N"), _whole(d["seed"], "seed"),
+                                 float(params.get("roughness", 0.5)))
     if kind == "csv":
         return profile_from_csv(params["path"])
     raise ValueError(f"unknown profile type {kind!r}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -49,19 +50,27 @@ class SpectralSample:
         return self.eigs.size
 
 
-def _lapack_solvers() -> Optional[dict]:
-    """numpy's own LAPACKE drivers dsyevd and zheevd, by the dtype they solve, or None.
+def _numpy_openblas() -> Optional[ctypes.CDLL]:
+    """numpy's linalg extension module as a ctypes library, or None.
 
     numpy's pip wheels link a 64-bit-integer OpenBLAS (scipy-openblas64) whose symbols
-    carry the scipy_ prefix and 64_ suffix; dlsym on numpy's linalg extension module finds
-    them in that library. Other builds (Accelerate, MKL, a system LAPACK) lack the names
-    and get None, so eigenvalues falls back to np.linalg.eigvalsh.
+    carry the scipy_ prefix and 64_ suffix; dlsym on this module finds them in that
+    library. Other builds (Accelerate, MKL, a system LAPACK) lack the names, so the
+    lookups below give None there.
     """
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        solvers = {np.dtype(np.float64): lib.scipy_LAPACKE_dsyevd64_,
-                   np.dtype(np.complex128): lib.scipy_LAPACKE_zheevd64_}
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
+        return None
+
+
+def _lapack_solvers(lib) -> Optional[dict]:
+    """LAPACKE's dsyevd and two-stage zheevd from numpy's OpenBLAS, by the dtype they
+    solve, or None; without them eigenvalues falls back to np.linalg.eigvalsh."""
+    try:
+        solvers = {np.dtype(np.float64): lib.scipy_LAPACKE_dsyevd64_,
+                   np.dtype(np.complex128): lib.scipy_LAPACKE_zheevd_2stage64_}
+    except AttributeError:
         return None
     for fn in solvers.values():
         # (layout, jobz, uplo, n, a, lda, w) -> info
@@ -71,8 +80,57 @@ def _lapack_solvers() -> Optional[dict]:
     return solvers
 
 
-_LAPACK = _lapack_solvers()
+def _blas_thread_calls(lib) -> Optional[tuple]:
+    """(get, set) of the thread count of numpy's OpenBLAS, or None."""
+    try:
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = (), ctypes.c_int
+    set_.argtypes, set_.restype = (ctypes.c_int,), None
+    return get, set_
+
+
+_OPENBLAS = _numpy_openblas()
+_LAPACK = _lapack_solvers(_OPENBLAS)
+_BLAS_THREADS = _blas_thread_calls(_OPENBLAS)
 _COL_MAJOR = 102
+
+
+class _OneBlasThread:
+    """Context manager under which numpy's OpenBLAS runs every call on the calling thread.
+
+    The count is process-wide, so nested and concurrent uses share one pin: the first to
+    enter saves the caller's count and sets 1, the last to leave puts the saved count back,
+    also when the block raises. Without the OpenBLAS thread calls it does nothing.
+    """
+
+    def __init__(self, calls: Optional[tuple]):
+        self._calls = calls
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self):
+        if self._calls is not None:
+            get, set_ = self._calls
+            with self._lock:
+                if self._depth == 0:
+                    self._saved = get()
+                    set_(1)
+                self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        if self._calls is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    self._calls[1](self._saved)
+        return False
+
+
+one_blas_thread = _OneBlasThread(_BLAS_THREADS)
 
 
 def eigenvalues(H: np.ndarray, check_hermitian: bool = True,
@@ -84,12 +142,16 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True,
     NumericalError, as does a solver failure.
 
     By default H is left unchanged: np.linalg.eigvalsh solves a copy. overwrite=True lets
-    the solver destroy H instead: where numpy exports LAPACKE's dsyevd and zheevd (its
-    OpenBLAS pip wheels), a C-contiguous float64 or complex128 H is solved in place, with
-    no N x N copy, by the routine eigvalsh runs on its copy. That route reads the upper
-    triangle of H and eigvalsh the lower one, so on an exactly Hermitian H, as
-    ensemble.sample draws, the eigenvalues are the same bytes. Elsewhere overwrite=True
-    takes the eigvalsh route and H is not changed.
+    the solver destroy H instead: where numpy exports the LAPACKE drivers (its OpenBLAS pip
+    wheels), a C-contiguous float64 or complex128 H is solved in place, with no N x N copy.
+    A float64 H goes to dsyevd, the routine eigvalsh runs on its copy; that route reads the
+    upper triangle of H and eigvalsh the lower one, so on an exactly symmetric H, as
+    ensemble.sample draws, the eigenvalues are the same bytes. A complex128 H goes to
+    zheevd_2stage, which reduces to a band and then to tridiagonal form; its eigenvalues
+    differ from eigvalsh's (zheevd's) by rounding, within a backward error of a few ulps
+    times ||H||_2. Elsewhere overwrite=True takes the eigvalsh route and H is not changed.
+    The solver's last bits depend on the BLAS thread count, which the replica engine pins
+    to one (one_blas_thread).
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -109,8 +171,8 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True,
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     else:
-        # LAPACK reads the C-order buffer as H^T = conj(H): each step is the exact conjugate
-        # of the one on eigvalsh's copy of H, so the real eigenvalues come out the same
+        # LAPACK reads the C-order buffer as H^T = conj(H), which has the same real spectrum;
+        # for real H each step is the one on eigvalsh's copy, so the bytes are the same
         n = H.shape[0]
         eigs = np.empty(n)
         info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)

@@ -97,7 +97,7 @@ def test_mean_shift_matches_monte_carlo_mean():
         for beta in (1, 2):
             spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
             summ = en.cumulant_summary(spec)
-            vals = np.array(hn._map_replicas(spec, 500 + 10 * pidx + beta, R, stat, 1, None)).T
+            vals = np.array(hn._map_replicas(spec, 500 + 10 * pidx + beta, R, stat, 2, None)).T
             for i, f in enumerate(fs):
                 ks = hn.cumulant_estimates(vals[i])
                 target = fl.mean_correction(tf.cheb_coeffs(f), p, summ, beta)

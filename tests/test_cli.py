@@ -266,11 +266,43 @@ def test_json_config_does_not_import_yaml(tmp_path):
     assert (lines[0], lines[-1]) == ("False", "False")
 
 
-def run_fresh_python(script: str) -> subprocess.CompletedProcess:
-    """script in a fresh interpreter that imports wignerlss from this checkout's src/."""
+def run_fresh_python(script: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports wignerlss from this checkout's src/, with
+    env_vars added to the environment."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **env_vars)
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
+def test_spectral_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # N = 300 is large enough for OpenBLAS to split the solver's work across its threads
+    maxpoly = write_config(tmp_path, """
+    ensemble:
+      beta: 2
+      profile: {type: band, N: 300, params: {W: 20}}
+    run: {replicas: 3, master_seed: 4, maxfield: {kappa: 0.2, grid: 300}}
+    """, "maxpoly.yaml")
+    simulate = write_config(tmp_path, """
+    ensemble:
+      profile: {type: flat, N: 300}
+    testfn: gauss(0.3,0.7)
+    run: {replicas: 3, master_seed: 4}
+    """, "simulate.yaml")
+    blobs = {}
+    for blas in ("1", "2"):
+        out = tmp_path / blas
+        script = textwrap.dedent(f"""
+            from wignerlss import cli
+            assert cli.main(["maxpoly", "--config", {maxpoly!r}, "--out", {str(out / "mp")!r}]) == 0
+            assert cli.main(["simulate", "--config", {simulate!r}, "--out", {str(out / "sim")!r}]) == 0
+        """)
+        run = run_fresh_python(script, OPENBLAS_NUM_THREADS=blas)
+        assert run.returncode == 0, run.stderr
+        blobs[blas] = ((out / "mp" / "ratios.csv").read_bytes(),
+                       (out / "sim" / "samples.csv").read_bytes())
+    assert blobs["1"][0] == blobs["2"][0]
+    assert blobs["1"][1] == blobs["2"][1]
 
 
 def test_config_errors(tmp_path, capsys):

@@ -391,3 +391,34 @@ def test_run_ensemble_maxfield_equals_max_field_experiment(threads):
     for key in ("re_ratio", "im_plus_ratio", "im_minus_ratio"):
         assert block[key].tobytes() == out[key].tobytes(), key
     assert block["collisions"] == out["collisions"]
+
+
+@pytest.mark.skipif(sp._BLAS_THREADS is None, reason="numpy exports no OpenBLAS thread calls")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_replicas_run_on_one_blas_thread_and_restore_the_callers_count(monkeypatch, threads):
+    get, set_ = sp._BLAS_THREADS
+    caller = get()
+    seen = []
+    real = sp.eigenvalues
+
+    def watched(H, *args, **kw):
+        seen.append(get())
+        return real(H, *args, **kw)
+
+    def failing(H, *args, **kw):
+        raise NumericalError("solver failed")
+
+    monkeypatch.setattr(hn.sp, "eigenvalues", watched)
+    try:
+        set_(2)
+        cfg = small_config(N=20, R=4, lambda_grid=(0.0,))
+        object.__setattr__(cfg, "f", tf.gauss_bump(0.3, 0.7))
+        hn.run_ensemble(cfg, threads=threads)
+        assert seen == [1] * 4
+        assert get() == 2
+        monkeypatch.setattr(hn.sp, "eigenvalues", failing)
+        with pytest.raises(NumericalError, match=r"replica 0 failed"):
+            hn.run_ensemble(cfg, threads=threads)
+        assert get() == 2
+    finally:
+        set_(caller)

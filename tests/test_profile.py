@@ -222,3 +222,17 @@ def test_descriptor_roundtrip():
     assert np.array_equal(p.S, q.S)
     with pytest.raises(ValueError):
         pf.profile_from_descriptor({"type": "nope"})
+    integral_floats = {"type": "band", "N": 60.0, "params": {"W": 4.0}}
+    assert pf.profile_from_descriptor(integral_floats).descriptor == pf.profile_band(60, 4).descriptor
+
+
+@pytest.mark.parametrize("d", [
+    {"type": "band", "N": 60.7, "params": {"W": 4}},
+    {"type": "band", "N": 60, "params": {"W": 4.9}},
+    {"type": "flat", "N": True},
+    {"type": "flat", "N": "60"},
+    {"type": "random", "N": 20, "seed": 1.5},
+])
+def test_descriptor_rejects_non_integral_sizes(d):
+    with pytest.raises(ValueError, match="must be an integer"):
+        pf.profile_from_descriptor(d)

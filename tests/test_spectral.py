@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -68,6 +70,22 @@ def solver_profiles(N):
     return out
 
 
+def lapack_on_copy(H):
+    """The eigenvalues of spectral's in-place LAPACKE driver for H.dtype, run on a copy of H."""
+    A = H.copy()
+    w = np.empty(H.shape[0])
+    assert sp._LAPACK[H.dtype](sp._COL_MAJOR, b"N", b"L", H.shape[0], A.ctypes.data,
+                               max(H.shape[0], 1), w.ctypes.data) == 0
+    return w
+
+
+def assert_backward_close(eigs, want, N):
+    """Two backward-stable Hermitian solvers each err by O(N eps ||H||_2), and by Weyl's
+    inequality so do their eigenvalues; the bound allows 4 N eps ||H||_2 between them."""
+    bound = 4.0 * max(N, 1) * np.finfo(float).eps * np.max(np.abs(want))
+    assert np.max(np.abs(eigs - want)) <= bound
+
+
 @pytest.mark.skipif(sp._LAPACK is None, reason="numpy exports no LAPACKE eigenvalue drivers")
 @pytest.mark.parametrize("N", [1, 2, 37, 300])
 def test_inplace_solver_matches_eigvalsh(N):
@@ -76,9 +94,14 @@ def test_inplace_solver_matches_eigvalsh(N):
             spec = en.EnsembleSpec(beta, p, en.gaussian(), en.two_point(0.3))
             H = en.sample(spec, (9, N))
             want = np.linalg.eigvalsh(H)
+            on_copy = lapack_on_copy(H)
             before = H.copy()
             s = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
-            assert s.eigs.tobytes() == want.tobytes(), (p.descriptor, beta)
+            if beta == 1:   # dsyevd, the routine eigvalsh runs
+                assert s.eigs.tobytes() == want.tobytes(), (p.descriptor, beta)
+            else:           # zheevd_2stage: its own bytes, within rounding of eigvalsh's
+                assert s.eigs.tobytes() == on_copy.tobytes(), (p.descriptor, beta)
+                assert_backward_close(s.eigs, want, N)
             assert s.trace == float(np.trace(before).real)
             if N > 2:   # the solver used H as its workspace
                 assert H.tobytes() != before.tobytes()
@@ -93,8 +116,61 @@ def test_fallback_solver_gives_the_same_sample(monkeypatch, beta):
     monkeypatch.setattr(sp, "_LAPACK", None)
     fallback = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
     assert H.tobytes() == before.tobytes()   # eigvalsh solves a copy
-    assert fallback.eigs.tobytes() == inplace.eigs.tobytes()
+    if beta == 1:
+        assert fallback.eigs.tobytes() == inplace.eigs.tobytes()
+    else:   # eigvalsh's zheevd against the in-place zheevd_2stage
+        assert_backward_close(inplace.eigs, fallback.eigs, H.shape[0])
     assert (fallback.trace, fallback.frob_sq) == (inplace.trace, inplace.frob_sq)
+
+
+@pytest.mark.skipif(sp._BLAS_THREADS is None, reason="numpy exports no OpenBLAS thread calls")
+def test_nested_blas_pins_restore_once_the_last_one_leaves():
+    get, set_ = sp._BLAS_THREADS
+    caller = get()
+    pin = sp._OneBlasThread(sp._BLAS_THREADS)
+    try:
+        set_(2)
+        with pin:
+            with pin:
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        with sp._OneBlasThread(None):   # a numpy without the thread calls: nothing changes
+            assert get() == 2
+    finally:
+        set_(caller)
+
+
+@pytest.mark.skipif(sp._BLAS_THREADS is None, reason="numpy exports no OpenBLAS thread calls")
+def test_concurrent_blas_pins_hold_and_restore():
+    # more threads than cores enter and leave one pin with a short switch interval: a lost
+    # depth update would restore the caller's count under a holder, or never restore it
+    get, set_ = sp._BLAS_THREADS
+    caller = get()
+    pin = sp._OneBlasThread(sp._BLAS_THREADS)
+    unpinned = []
+
+    def work():
+        for _ in range(300):
+            with pin:
+                if get() != 1:
+                    unpinned.append(get())
+
+    interval = sys.getswitchinterval()
+    workers = [threading.Thread(target=work) for _ in range(8)]
+    try:
+        set_(2)
+        sys.setswitchinterval(1e-6)
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in workers)
+        assert unpinned == []
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(caller)
 
 
 def test_public_eigenvalues_leave_H_unchanged():
