@@ -78,11 +78,7 @@ def _correction_terms(t1: float, t2: float, trS: float, summary: CumulantSummary
 def variance_series(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSummary,
                     beta: int, return_details: bool = False):
     """V = (1/2 beta) sum_j j t_j^2 tr S^j plus the finite-rank cumulant corrections."""
-    coeffs = np.asarray(t.t)
-    if np.iscomplexobj(coeffs):
-        if np.max(np.abs(coeffs.imag)) > 1e-12:
-            raise ValueError("variance_series needs real coefficients")
-        coeffs = coeffs.real
+    coeffs = t.t
     J = len(coeffs) - 1
     tp = trace_powers(profile, max(J, 1))
     js = np.arange(1, J + 1)
@@ -173,8 +169,7 @@ def mean_correction(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSu
     m(x)^2 tr(S (1 - m(x)^2 S)^{-1}) = sum_{k>=1} tr S^k exp(-2 i k theta), and its k = 1
     term cancels the beta = 1 term -tr S t_2/2.
     """
-    coeffs = np.asarray(t.t).real
-    total = 0.5 * (summary.kappa4_sum * _coeff(coeffs, 4) + summary.kappa3_diag_sum * _coeff(coeffs, 3))
+    total = 0.5 * (summary.kappa4_sum * _coeff(t.t, 4) + summary.kappa3_diag_sum * _coeff(t.t, 3))
     if beta == 1:
         total += 0.5 * float(np.dot(*_profile_sum_factors(t, profile)))
     return float(total)
@@ -185,7 +180,7 @@ def _profile_sum_factors(t: ChebCoeffs, profile: VarianceProfile) -> tuple:
     K = t.J // 2
     if K < 2:
         return np.zeros(0), np.zeros(0)
-    return trace_powers(profile, K)[1:], np.asarray(t.t).real[4:2 * K + 1:2]
+    return trace_powers(profile, K)[1:], t.t[4:2 * K + 1:2]
 
 
 def _mean_last_decade(t: ChebCoeffs, profile: VarianceProfile, beta: int) -> float:
@@ -200,7 +195,7 @@ def _mean_last_decade(t: ChebCoeffs, profile: VarianceProfile, beta: int) -> flo
 
 def cubic_term(t: ChebCoeffs, summary: CumulantSummary) -> float:
     """B = (1/8) * (aggregate diagonal third cumulant) * t_1^3."""
-    t1 = _coeff(np.asarray(t.t).real, 1)
+    t1 = _coeff(t.t, 1)
     return summary.kappa3_diag_sum * t1 ** 3 / 8.0
 
 

@@ -208,15 +208,10 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
     not depend on the thread count. The first failing replica, in index order, raises
     NumericalError naming it and the seed; queued replicas are cancelled first.
 
-    Each worker thread draws every one of its replicas into one H buffer of its own, so a
-    run allocates at most `threads` matrices and does not page a fresh one in per replica.
-    stat may overwrite H, as spectral.eigenvalues(H, overwrite=True) does, since the next
-    draw overwrites every entry; it must not keep H, or any view of it, after it returns.
-
-    BLAS runs on one thread for the whole map (spectral.one_blas_thread), and the caller's
-    thread count comes back when it returns or raises. Each replica's eigensolve then runs
-    on its own worker, so `threads` workers use `threads` cores, and the solver's last bits
-    do not depend on the BLAS setting.
+    Each of the `threads` workers draws every one of its replicas into one H buffer of its
+    own, so a run allocates at most `threads` matrices and does not page a fresh one in per
+    replica. stat may overwrite H, as spectral.eigenvalues does, since the next draw
+    overwrites every entry; it must not keep H, or any view of it, after it returns.
     """
     local = threading.local()
 
@@ -224,22 +219,20 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
         local.H = en.sample(spec, (master_seed, r), out=getattr(local, "H", None))
         return stat(local.H, r)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = ThreadPoolExecutor(max_workers=threads)
     rows = []
-    with sp.one_blas_thread:
-        try:
-            futures = [pool.submit(one, r) for r in range(R)] if pool else None
-            for r in range(R):
-                try:
-                    rows.append(futures[r].result() if pool else one(r))
-                except Exception as exc:
-                    raise NumericalError(
-                        f"replica {r} failed (master_seed {master_seed}): {exc}") from exc
-                if progress is not None:
-                    progress(r + 1, R)
-        finally:
-            if pool:
-                pool.shutdown(cancel_futures=True)
+    try:
+        futures = [pool.submit(one, r) for r in range(R)]
+        for r, future in enumerate(futures):
+            try:
+                rows.append(future.result())
+            except Exception as exc:
+                raise NumericalError(
+                    f"replica {r} failed (master_seed {master_seed}): {exc}") from exc
+            if progress is not None:
+                progress(r + 1, R)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return rows
 
 
@@ -266,7 +259,7 @@ def run_ensemble(config: RunConfig, threads: int = 1,
             return {"lss": sp.trace_lss(H, coeffs, center)}
     else:
         def stat(H: np.ndarray, r: int) -> dict:
-            s = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+            s = sp.eigenvalues(H, check_hermitian=False)
             out = {"lss": sp.lss(s, config.f, center)}
             if config.maxfield is not None:
                 out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
@@ -345,7 +338,7 @@ def max_field_experiment(spec: en.EnsembleSpec, kappa: float, E_grid_size: int, 
         raise ValueError("replicas must be >= 1")
 
     def stat(H: np.ndarray, r: int):
-        s = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+        s = sp.eigenvalues(H, check_hermitian=False)
         return _max_ratios(s, kappa, E_grid_size, r)
 
     return _max_columns(_map_replicas(spec, master_seed, R, stat, threads, progress))

@@ -97,12 +97,14 @@ def circulant_view(row: np.ndarray) -> np.ndarray:
 
 
 def _checked(S) -> np.ndarray:
-    """S as a float array, after checking it is square, exactly symmetric, strictly positive
-    and doubly stochastic to _ROW_SUM_TOL."""
+    """S as a float array, after checking it is square, finite, exactly symmetric, strictly
+    positive and doubly stochastic to _ROW_SUM_TOL."""
     S = np.asarray(S, dtype=float)
     N = S.shape[0]
     if S.shape != (N, N):
         raise ValueError("S must be square")
+    if not np.all(np.isfinite(S)):
+        raise ValueError("S entries must be finite")
     if not np.array_equal(S, S.T):
         raise ValueError("S must be exactly symmetric")
     if np.min(S) <= 0.0:
@@ -223,8 +225,9 @@ def profile_to_csv(profile: VarianceProfile, path) -> None:
 
 def profile_from_csv(path) -> VarianceProfile:
     S = np.loadtxt(path, delimiter=",", ndmin=2)
-    S += S.T
-    S *= 0.5
+    if S.shape[0] == S.shape[1]:   # _checked rejects any other shape
+        S += S.T
+        S *= 0.5
     return VarianceProfile.from_matrix(
         S, {"type": "csv", "N": S.shape[0], "params": {"path": str(path)}, "seed": None}
     )

@@ -133,51 +133,54 @@ class _OneBlasThread:
 one_blas_thread = _OneBlasThread(_BLAS_THREADS)
 
 
-def eigenvalues(H: np.ndarray, check_hermitian: bool = True,
-                overwrite: bool = False) -> SpectralSample:
-    """Full ascending spectrum of a Hermitian matrix via a dense symmetric solver.
+def _trace_sums(H: np.ndarray) -> tuple:
+    """(tr H, ||H||_F^2), the squares summed by einsum, not BLAS, so that neither value
+    depends on the BLAS thread count."""
+    flat = np.ascontiguousarray(H).reshape(-1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(flat.real.dtype)
+    return float(np.trace(H).real), float(np.einsum("i,i->", flat, flat))
+
+
+def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
+    """Full ascending spectrum of a Hermitian matrix, solved in place where the drivers allow.
 
     check_hermitian=False skips the symmetry test, for matrices that ensemble.sample built
     exactly Hermitian. tr H and ||H||_F^2 are read first; a non-finite entry raises
     NumericalError, as does a solver failure.
 
-    By default H is left unchanged: np.linalg.eigvalsh solves a copy. overwrite=True lets
-    the solver destroy H instead: where numpy exports the LAPACKE drivers (its OpenBLAS pip
-    wheels), a C-contiguous float64 or complex128 H is solved in place, with no N x N copy.
-    A float64 H goes to dsyevd, the routine eigvalsh runs on its copy; that route reads the
-    upper triangle of H and eigvalsh the lower one, so on an exactly symmetric H, as
-    ensemble.sample draws, the eigenvalues are the same bytes. A complex128 H goes to
-    zheevd_2stage, which reduces to a band and then to tridiagonal form; its eigenvalues
-    differ from eigvalsh's (zheevd's) by rounding, within a backward error of a few ulps
-    times ||H||_2. Elsewhere overwrite=True takes the eigvalsh route and H is not changed.
-    The solver's last bits depend on the BLAS thread count, which the replica engine pins
-    to one (one_blas_thread).
+    Where numpy exports the LAPACKE drivers (its OpenBLAS pip wheels), a C-contiguous,
+    writeable float64 or complex128 H is solved in place, with no N x N copy, and its
+    entries are destroyed. A float64 H goes to dsyevd, the routine np.linalg.eigvalsh runs
+    on its copy; a complex128 H goes to zheevd_2stage, which reduces to a band and then to
+    tridiagonal form. Any other H, and every H on a numpy without those names, goes to
+    np.linalg.eigvalsh, which solves a copy and leaves H unchanged. Either solve runs under
+    one_blas_thread, so the eigenvalues do not depend on the caller's BLAS thread count.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be square")
     if check_hermitian and not np.allclose(H, H.conj().T, rtol=0.0, atol=_HERMITIAN_TOL):
         raise ValueError("H must be Hermitian")
-    trace = float(np.trace(H).real)
-    frob_sq = float(np.vdot(H, H).real)
+    trace, frob_sq = _trace_sums(H)
     if not np.isfinite(frob_sq):
         raise NumericalError(f"non-finite matrix: ||H||_F^2 = {frob_sq!r}")
-    solve = None
-    if overwrite and _LAPACK is not None and H.flags.carray:   # C-contiguous, aligned, writeable
-        solve = _LAPACK.get(H.dtype)
-    if solve is None:
-        try:
-            eigs = np.linalg.eigvalsh(H)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
-    else:
-        # LAPACK reads the C-order buffer as H^T = conj(H), which has the same real spectrum;
-        # for real H each step is the one on eigvalsh's copy, so the bytes are the same
-        n = H.shape[0]
-        eigs = np.empty(n)
-        info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)
-        if info != 0:
-            raise NumericalError(f"eigenvalue solver failed: LAPACK info = {info}")
+    # flags.carray: C-contiguous, aligned and writeable, as an in-place solve needs
+    solve = _LAPACK.get(H.dtype) if _LAPACK is not None and H.flags.carray else None
+    with one_blas_thread:
+        if solve is None:
+            try:
+                eigs = np.linalg.eigvalsh(H)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+        else:
+            # LAPACK reads the C-order buffer as H^T = conj(H), which has the same real
+            # spectrum; for real H each step is the one on eigvalsh's copy
+            n = H.shape[0]
+            eigs = np.empty(n)
+            info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)
+            if info != 0:
+                raise NumericalError(f"eigenvalue solver failed: LAPACK info = {info}")
     return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq)
 
 
@@ -194,17 +197,12 @@ def trace_lss(H: np.ndarray, coeffs: tuple, center: float) -> float:
     """Centered linear statistic of f = c0 + c1 x + c2 x^2 from H alone, with no eigensolve:
     sum_i f(eig_i) = N c0 + c1 tr H + c2 ||H||_F^2 exactly.
 
-    coeffs is quadratic_coeffs(f) and center is int f d(rho_sc), as in lss. ||H||_F^2 is
-    summed by einsum, not BLAS, so the value does not depend on the BLAS thread count. A
-    non-finite value raises NumericalError.
+    coeffs is quadratic_coeffs(f) and center is int f d(rho_sc), as in lss. A non-finite
+    value raises NumericalError.
     """
     c0, c1, c2 = coeffs
     N = H.shape[0]
-    flat = H.reshape(-1)
-    if np.iscomplexobj(flat):
-        flat = flat.view(float)
-    trace = float(np.trace(H).real)
-    frob_sq = float(np.einsum("i,i->", flat, flat))
+    trace, frob_sq = _trace_sums(H)
     value = N * c0 + c1 * trace + c2 * frob_sq - N * center
     if not np.isfinite(value):
         raise NumericalError(

@@ -153,13 +153,13 @@ class ChebCoeffs:
     tail_estimate: float
 
     def __post_init__(self):
-        self.t = np.asarray(self.t)
+        self.t = np.asarray(self.t, dtype=float)
         if self.t.shape[0] != self.J + 1:
             raise ValueError("coefficient array must have length J + 1")
 
 
 def _tail_estimate(t: np.ndarray) -> float:
-    a = np.abs(np.asarray(t, dtype=complex))
+    a = np.abs(t)
     J = len(a) - 1
     k = max(5, J // 10)
     seg = a[max(1, J + 1 - k):]

@@ -90,7 +90,7 @@ def test_mean_shift_matches_monte_carlo_mean():
     centers = [float(sc.integrate_rho_sc(f, nodes=2048).real) for f in fs]
 
     def stat(H, r):
-        eig = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+        eig = sp.eigenvalues(H, check_hermitian=False)
         return [sp.lss(eig, f, c) for f, c in zip(fs, centers)]
 
     for pidx, p in enumerate((pf.profile_flat(N), pf.profile_band(N, 12))):

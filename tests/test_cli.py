@@ -357,6 +357,19 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, ensemble, flags):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("0.5,0.5,0.5\n0.5,0.5,0.5\n", "S must be square"),
+    ("0.5,nan\n0.5,0.5\n", "S entries must be finite"),
+], ids=["non-square", "nan"])
+def test_csv_profile_faults_are_named(tmp_path, capsys, rows, message):
+    path = tmp_path / "S.csv"
+    path.write_text(rows)
+    cfg = write_config(tmp_path, f"ensemble: {{profile: {{type: csv, params: {{path: '{path}'}}}}}}\n"
+                                 "testfn: x\n")
+    assert cli.main(["predict", "--config", cfg]) == 2
+    assert f"config error: bad profile: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("profile, run, key", [
     ("{type: band, N: 60.7, params: {W: 4}}", "{replicas: 6}", "profile.N"),
     ("{type: flat, N: true}", "{replicas: 6}", "profile.N"),

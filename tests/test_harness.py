@@ -393,32 +393,64 @@ def test_run_ensemble_maxfield_equals_max_field_experiment(threads):
     assert block["collisions"] == out["collisions"]
 
 
-@pytest.mark.skipif(sp._BLAS_THREADS is None, reason="numpy exports no OpenBLAS thread calls")
+@pytest.mark.skipif(sp._BLAS_THREADS is None or sp._LAPACK is None,
+                    reason="numpy exports no OpenBLAS thread calls or LAPACKE drivers")
 @pytest.mark.parametrize("threads", [1, 2])
 def test_replicas_run_on_one_blas_thread_and_restore_the_callers_count(monkeypatch, threads):
+    # the count is read inside the solver, so the pin is the one around the solve itself
     get, set_ = sp._BLAS_THREADS
     caller = get()
     seen = []
-    real = sp.eigenvalues
 
-    def watched(H, *args, **kw):
-        seen.append(get())
-        return real(H, *args, **kw)
+    def watched(real):
+        def solve(*args):
+            seen.append(get())
+            return real(*args)
+        return solve
 
-    def failing(H, *args, **kw):
-        raise NumericalError("solver failed")
+    def failing(*args):
+        return -1   # a LAPACK info code: eigenvalues raises NumericalError inside its pin
 
-    monkeypatch.setattr(hn.sp, "eigenvalues", watched)
     try:
         set_(2)
         cfg = small_config(N=20, R=4, lambda_grid=(0.0,))
         object.__setattr__(cfg, "f", tf.gauss_bump(0.3, 0.7))
+        monkeypatch.setattr(sp, "_LAPACK", {k: watched(v) for k, v in sp._LAPACK.items()})
         hn.run_ensemble(cfg, threads=threads)
         assert seen == [1] * 4
         assert get() == 2
-        monkeypatch.setattr(hn.sp, "eigenvalues", failing)
+        monkeypatch.setattr(sp, "_LAPACK", {k: failing for k in sp._LAPACK})
         with pytest.raises(NumericalError, match=r"replica 0 failed"):
             hn.run_ensemble(cfg, threads=threads)
         assert get() == 2
+    finally:
+        set_(caller)
+
+
+@pytest.mark.skipif(sp._BLAS_THREADS is None, reason="numpy exports no OpenBLAS thread calls")
+def test_public_eigenvalues_reproduce_a_replica_spectrum_on_any_blas_count(monkeypatch):
+    # the documented route sp.eigenvalues(en.sample(spec, (seed, r))) gives replica r's
+    # spectrum byte for byte, whatever BLAS thread count its caller runs
+    get, set_ = sp._BLAS_THREADS
+    caller = get()
+    real = sp.eigenvalues
+    kept = []
+
+    def keeping(H, *args, **kwargs):
+        s = real(H, *args, **kwargs)
+        kept.append(s.eigs.tobytes())
+        return s
+
+    monkeypatch.setattr(hn.sp, "eigenvalues", keeping)
+    R, seed = 2, 13
+    try:
+        set_(2)
+        for beta in (1, 2):
+            spec = en.EnsembleSpec(beta, pf.profile_band(300, 30), en.gaussian(), en.gaussian())
+            kept.clear()
+            hn.max_field_experiment(spec, kappa=0.2, E_grid_size=200, R=R, master_seed=seed)
+            again = [real(en.sample(spec, (seed, r))).eigs.tobytes() for r in range(R)]
+            assert again == kept, beta
+            assert get() == 2
     finally:
         set_(caller)

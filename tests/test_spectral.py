@@ -71,12 +71,20 @@ def solver_profiles(N):
 
 
 def lapack_on_copy(H):
-    """The eigenvalues of spectral's in-place LAPACKE driver for H.dtype, run on a copy of H."""
+    """The eigenvalues of spectral's in-place LAPACKE driver for H.dtype, run on a copy of H
+    on one BLAS thread, as eigenvalues runs it."""
     A = H.copy()
     w = np.empty(H.shape[0])
-    assert sp._LAPACK[H.dtype](sp._COL_MAJOR, b"N", b"L", H.shape[0], A.ctypes.data,
-                               max(H.shape[0], 1), w.ctypes.data) == 0
+    with sp.one_blas_thread:
+        assert sp._LAPACK[H.dtype](sp._COL_MAJOR, b"N", b"L", H.shape[0], A.ctypes.data,
+                                   max(H.shape[0], 1), w.ctypes.data) == 0
     return w
+
+
+def eigvalsh_pinned(H):
+    """np.linalg.eigvalsh(H) on one BLAS thread, as eigenvalues runs its solve."""
+    with sp.one_blas_thread:
+        return np.linalg.eigvalsh(H)
 
 
 def assert_backward_close(eigs, want, N):
@@ -93,10 +101,10 @@ def test_inplace_solver_matches_eigvalsh(N):
         for beta in (1, 2):
             spec = en.EnsembleSpec(beta, p, en.gaussian(), en.two_point(0.3))
             H = en.sample(spec, (9, N))
-            want = np.linalg.eigvalsh(H)
+            want = eigvalsh_pinned(H)
             on_copy = lapack_on_copy(H)
             before = H.copy()
-            s = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+            s = sp.eigenvalues(H, check_hermitian=False)
             if beta == 1:   # dsyevd, the routine eigvalsh runs
                 assert s.eigs.tobytes() == want.tobytes(), (p.descriptor, beta)
             else:           # zheevd_2stage: its own bytes, within rounding of eigvalsh's
@@ -112,9 +120,9 @@ def test_fallback_solver_gives_the_same_sample(monkeypatch, beta):
     spec = en.EnsembleSpec(beta, pf.profile_band(120, 9), en.rademacher(), en.gaussian())
     H = en.sample(spec, (4, 1))
     before = H.copy()
-    inplace = sp.eigenvalues(H.copy(), check_hermitian=False, overwrite=True)
+    inplace = sp.eigenvalues(H.copy(), check_hermitian=False)
     monkeypatch.setattr(sp, "_LAPACK", None)
-    fallback = sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+    fallback = sp.eigenvalues(H, check_hermitian=False)
     assert H.tobytes() == before.tobytes()   # eigvalsh solves a copy
     if beta == 1:
         assert fallback.eigs.tobytes() == inplace.eigs.tobytes()
@@ -173,14 +181,24 @@ def test_concurrent_blas_pins_hold_and_restore():
         set_(caller)
 
 
-def test_public_eigenvalues_leave_H_unchanged():
+def test_eigenvalues_leave_an_H_the_drivers_cannot_take_unchanged():
+    # read-only, Fortran-order and strided H go to eigvalsh's copy and give the in-place
+    # route's spectrum (to rounding at beta = 2); on the in-place route H is the workspace
     for beta in (1, 2):
         spec = en.EnsembleSpec(beta, pf.profile_flat(50), en.gaussian(), en.gaussian())
         H = en.sample(spec, (2, 0))
-        before = H.tobytes()
-        sp.eigenvalues(H)
-        sp.eigenvalues(H, check_hermitian=False)
-        assert H.tobytes() == before
+        readonly = H.copy()
+        readonly.setflags(write=False)
+        strided = np.repeat(H, 2, axis=1)[:, ::2]
+        want = sp.eigenvalues(H.copy())
+        for other in (readonly, np.asfortranarray(H), strided):
+            before = other.tobytes()
+            s = sp.eigenvalues(other)
+            assert other.tobytes() == before
+            if beta == 1:
+                assert s.eigs.tobytes() == want.eigs.tobytes()
+            else:   # eigvalsh's zheevd against the in-place zheevd_2stage
+                assert_backward_close(s.eigs, want.eigs, H.shape[0])
 
 
 @pytest.mark.parametrize("lapack", ["in place", "fallback"])
@@ -194,7 +212,7 @@ def test_non_finite_entry_raises_on_both_routes(monkeypatch, lapack, bad):
             H = en.sample(spec, (1, 0))
             H[i, j] = bad
             with pytest.raises(NumericalError):
-                sp.eigenvalues(H, check_hermitian=False, overwrite=True)
+                sp.eigenvalues(H, check_hermitian=False)
 
 
 def test_sample_conservation_guard():
@@ -261,7 +279,7 @@ def test_field_same_spectrum_same_field():
     H = rng.standard_normal((40, 40))
     H = (H + H.T) / 2.0
     P = np.eye(40)[rng.permutation(40)]
-    s1 = sp.eigenvalues(H)
+    s1 = sp.eigenvalues(H.copy())
     s2 = sp.eigenvalues(P @ H @ P.T)
     grid = np.linspace(-1.5, 1.5, 11)
     a = sp.log_char_field(s1, grid, 0.02)
