@@ -111,6 +111,21 @@ class EnsembleSpec:
         scale = self.profile.sqrt_scaled(0.5 if self.beta == 2 else 1.0)
         return upper, scale, np.sqrt(np.diag(self.profile.S))
 
+    @functools.cached_property
+    def _packed_scales(self) -> tuple:
+        """(entry scale, diagonal scale) of sample's packed form, once per spec: the entry
+        scale is one scalar for a constant profile row (flat), else the N(N - 1)/2 values of
+        _sampling_scales' scale on the strict upper triangle, in row-major order."""
+        c = 0.5 if self.beta == 2 else 1.0
+        row = self.profile.row
+        if row is not None and np.all(row == row[0]):
+            scale = np.sqrt(c * row[0])
+        else:
+            scale = self.profile.S[toeplitz_view(np.arange(2 * self.N - 1) >= self.N)]
+            scale *= c
+            np.sqrt(scale, out=scale)
+        return scale, np.sqrt(np.diag(self.profile.S))
+
 
 @dataclass(frozen=True)
 class CumulantSummary:
@@ -140,7 +155,8 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None) -> np.ndarray:
+def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None, *,
+           packed: bool = False):
     """Draw one Hermitian matrix H with E|H_ij|^2 = S_ij; deterministic per (spec, key).
 
     key is the (master_seed, replica) pair of the replica's Philox stream.
@@ -148,10 +164,28 @@ def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None) -> 
     H is written into out, an N x N float (beta=1) or complex (beta=2) array, and out is
     returned; every entry is overwritten, so out may hold anything. With out=None, H is
     one fresh array.
+
+    packed=True returns (upper, diag) instead: H's strict upper triangle in row-major
+    order and H's diagonal, byte for byte the values the same draw writes into H, with no
+    N x N array and no mirror; out must then be None.
     """
     rng = replica_rng(*key)
     N = spec.N
     dtype = np.float64 if spec.beta == 1 else np.complex128
+    if packed:
+        if out is not None:
+            raise ValueError("the packed form takes no out")
+        n = N * (N - 1) // 2
+        scale, diag_scale = spec._packed_scales
+        if spec.beta == 1:   # the drawn vector, scaled in place, is the upper triangle
+            upper = spec.offdiag.sampler(rng, n)
+            upper *= scale
+        else:                # each real vector is scaled into its part and freed
+            upper = np.empty(n, dtype=dtype)
+            for part in (upper.real, upper.imag):
+                np.multiply(spec.offdiag.sampler(rng, n), scale, out=part)
+        d = spec.diag.sampler(rng, N)
+        return upper, (diag_scale * d).astype(dtype, copy=False)
     if out is None:
         H = np.empty((N, N), dtype=dtype)
     elif out.shape != (N, N) or out.dtype != dtype:

@@ -200,9 +200,10 @@ def _max_columns(quads: list) -> dict:
 
 
 def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
-                  stat: Callable[[np.ndarray, int], object], threads: int,
-                  progress: Optional[Callable[[int, int], None]]) -> list:
-    """stat(H, r) of the drawn matrices H of replicas r = 0..R-1, returned in replica order.
+                  stat: Callable[[object, int], object], threads: int,
+                  progress: Optional[Callable[[int, int], None]], packed: bool = False) -> list:
+    """stat(H, r) of the drawn matrices H of replicas r = 0..R-1, returned in replica order;
+    with packed=True, stat(draw, r) of the packed draws (upper, diag) of en.sample instead.
 
     Replica r is drawn from the Philox stream keyed by (master_seed, r), so the results do
     not depend on the thread count. The first failing replica, in index order, raises
@@ -211,11 +212,14 @@ def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
     Each of the `threads` workers draws every one of its replicas into one H buffer of its
     own, so a run allocates at most `threads` matrices and does not page a fresh one in per
     replica. stat may overwrite H, as spectral.eigenvalues does, since the next draw
-    overwrites every entry; it must not keep H, or any view of it, after it returns.
+    overwrites every entry; it must not keep H, or any view of it, after it returns. A
+    packed draw is two new vectors and touches no N x N buffer.
     """
     local = threading.local()
 
     def one(r):
+        if packed:
+            return stat(en.sample(spec, (master_seed, r), packed=True), r)
         local.H = en.sample(spec, (master_seed, r), out=getattr(local, "H", None))
         return stat(local.H, r)
 
@@ -247,16 +251,20 @@ def run_ensemble(config: RunConfig, threads: int = 1,
     order, so the output is independent of thread count.
 
     A polynomial of degree <= 2, in a run with no maxfield and no rigidity, takes each
-    statistic from tr H and ||H||_F^2 (spectral.trace_lss) and skips the eigensolve; every
-    other run solves for the spectrum of each replica.
+    statistic from tr H and ||H||_F^2 (spectral.trace_lss), read off the packed draw, and
+    skips both the N x N matrix and the eigensolve; every other run solves for the
+    spectrum of each replica.
     """
     summary = en.cumulant_summary(config.spec)
     prediction = fl.clt_prediction(config.f, config.spec.profile, summary, config.spec.beta)
     center = prediction.centering
     coeffs = sp.quadratic_coeffs(config.f)
-    if coeffs is not None and config.maxfield is None and config.rigidity is None:
-        def stat(H: np.ndarray, r: int) -> dict:
-            return {"lss": sp.trace_lss(H, coeffs, center)}
+    packed = coeffs is not None and config.maxfield is None and config.rigidity is None
+    if packed:
+        N = config.spec.N
+
+        def stat(draw: tuple, r: int) -> dict:
+            return {"lss": sp.trace_lss(N, *sp.packed_trace_sums(*draw), coeffs, center)}
     else:
         def stat(H: np.ndarray, r: int) -> dict:
             s = sp.eigenvalues(H, check_hermitian=False)
@@ -268,7 +276,7 @@ def run_ensemble(config: RunConfig, threads: int = 1,
             return out
 
     R = config.replicas
-    rows = _map_replicas(config.spec, config.master_seed, R, stat, threads, progress)
+    rows = _map_replicas(config.spec, config.master_seed, R, stat, threads, progress, packed)
     lss_samples = np.array([row["lss"] for row in rows])
     rigidity = None
     if config.rigidity is not None:

@@ -133,13 +133,13 @@ class _OneBlasThread:
 one_blas_thread = _OneBlasThread(_BLAS_THREADS)
 
 
-def _trace_sums(H: np.ndarray) -> tuple:
-    """(tr H, ||H||_F^2), the squares summed by einsum, not BLAS, so that neither value
-    depends on the BLAS thread count."""
-    flat = np.ascontiguousarray(H).reshape(-1)
+def _sum_sq(a: np.ndarray) -> float:
+    """sum_i |a_i|^2 over every entry of a, by einsum, not BLAS, so that the value does not
+    depend on the BLAS thread count."""
+    flat = np.ascontiguousarray(a).reshape(-1)
     if np.iscomplexobj(flat):
         flat = flat.view(flat.real.dtype)
-    return float(np.trace(H).real), float(np.einsum("i,i->", flat, flat))
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
@@ -162,7 +162,7 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
         raise ValueError("H must be square")
     if check_hermitian and not np.allclose(H, H.conj().T, rtol=0.0, atol=_HERMITIAN_TOL):
         raise ValueError("H must be Hermitian")
-    trace, frob_sq = _trace_sums(H)
+    trace, frob_sq = float(np.trace(H).real), _sum_sq(H)
     if not np.isfinite(frob_sq):
         raise NumericalError(f"non-finite matrix: ||H||_F^2 = {frob_sq!r}")
     # flags.carray: C-contiguous, aligned and writeable, as an in-place solve needs
@@ -193,16 +193,22 @@ def quadratic_coeffs(f: TestFunction) -> Optional[tuple]:
     return (tuple(c) + (0.0, 0.0))[:3]
 
 
-def trace_lss(H: np.ndarray, coeffs: tuple, center: float) -> float:
-    """Centered linear statistic of f = c0 + c1 x + c2 x^2 from H alone, with no eigensolve:
+def packed_trace_sums(upper: np.ndarray, diag: np.ndarray) -> tuple:
+    """(tr H, ||H||_F^2) of the Hermitian H whose strict upper triangle and diagonal are
+    upper and diag, as ensemble.sample(spec, key, packed=True) returns them: each
+    off-diagonal square counts twice, once for its mirror."""
+    return float(np.sum(diag.real)), 2.0 * _sum_sq(upper) + _sum_sq(diag)
+
+
+def trace_lss(N: int, trace: float, frob_sq: float, coeffs: tuple, center: float) -> float:
+    """Centered linear statistic of f = c0 + c1 x + c2 x^2 of an N x N Hermitian H from
+    trace = tr H and frob_sq = ||H||_F^2 alone, with no eigensolve:
     sum_i f(eig_i) = N c0 + c1 tr H + c2 ||H||_F^2 exactly.
 
     coeffs is quadratic_coeffs(f) and center is int f d(rho_sc), as in lss. A non-finite
     value raises NumericalError.
     """
     c0, c1, c2 = coeffs
-    N = H.shape[0]
-    trace, frob_sq = _trace_sums(H)
     value = N * c0 + c1 * trace + c2 * frob_sq - N * center
     if not np.isfinite(value):
         raise NumericalError(

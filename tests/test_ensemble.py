@@ -228,6 +228,23 @@ def test_sample_into_out_matches_fresh_draw(beta, law):
             H = en.sample(spec, (5, r), out=buf)
             assert H is buf
             assert buf.tobytes() == en.sample(spec, (5, r)).tobytes()
+            # the packed form: H's strict upper triangle, row by row, and its diagonal
+            upper, diag = en.sample(spec, (5, r), packed=True)
+            assert upper.tobytes() == buf[np.triu_indices(p.N, 1)].tobytes()
+            assert diag.tobytes() == np.diag(buf).tobytes()
+
+
+def test_packed_sample_takes_no_out():
+    spec = en.EnsembleSpec(1, pf.profile_flat(6), en.gaussian(), en.gaussian())
+    with pytest.raises(ValueError, match="packed form takes no out"):
+        en.sample(spec, (1, 0), out=np.empty((6, 6)), packed=True)
+
+
+def test_packed_scales_of_a_flat_profile_are_scalars():
+    for beta in (1, 2):
+        spec = en.EnsembleSpec(beta, pf.profile_flat(800), en.gaussian(), en.gaussian())
+        scale, _ = spec._packed_scales
+        assert np.ndim(scale) == 0
 
 
 def test_sample_out_must_match_shape_and_dtype():

@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +104,11 @@ def test_run_ensemble_deterministic_across_threads():
         outs = {hn.run_ensemble(cfg, threads=k).to_json() for k in (1, 4)}
         assert len(outs) == 1, f.label
         assert hn.run_ensemble(cfg, threads=1).to_json() in outs
+    # enough trace-route replicas that every worker draws many packed replicas
+    for beta in (1, 2):
+        cfg = small_config(N=50, R=64, beta=beta, lambda_grid=(0.0, 0.5))
+        outs = {hn.run_ensemble(cfg, threads=k).to_json() for k in (1, 2, 4)}
+        assert len(outs) == 1, beta
 
 
 def test_run_ensemble_char_at_zero_and_k2():
@@ -246,19 +253,101 @@ def test_trace_route_skips_the_eigensolve(monkeypatch):
 
 
 def test_trace_route_non_finite_draw_reports_replica(monkeypatch):
+    # the trace route reads the packed draw (upper, diag); poison H_11 in replica 3
     real = en.sample
 
     def poisoned(spec, key, **kw):
-        H = real(spec, key, **kw)
+        upper, diag = real(spec, key, **kw)
         if key[1] == 3:
-            H[1, 1] = np.nan
-        return H
+            diag[1] = np.nan
+        return upper, diag
 
     monkeypatch.setattr(hn.en, "sample", poisoned)
     for threads in (1, 2):
         cfg = small_config(N=20, R=8, seed=5, lambda_grid=(0.0,))
-        with pytest.raises(NumericalError, match=r"replica 3 failed \(master_seed 5\)"):
+        with pytest.raises(NumericalError,
+                           match=r"replica 3 failed \(master_seed 5\): non-finite statistic"):
             hn.run_ensemble(cfg, threads=threads)
+
+
+def count_sample_calls(monkeypatch) -> list:
+    """Wrap en.sample in every wignerlss namespace that binds it, as a tracer would, and
+    return the list each call appends its key to."""
+    real = en.sample
+    keys = []
+
+    def counted(spec, key, *args, **kwargs):
+        keys.append(key)
+        return real(spec, key, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "wignerlss":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return keys
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_replica_draws_once_on_every_route(monkeypatch, threads):
+    # a tracer counts replicas as en.sample calls, so every route draws through it once
+    keys = count_sample_calls(monkeypatch)
+    R, seed = 6, 4
+    spec = en.EnsembleSpec(2, pf.profile_band(30, 4), en.gaussian(), en.gaussian())
+    runs = {
+        "trace route": lambda: hn.run_ensemble(
+            hn.RunConfig(spec=spec, f=F_X2, replicas=R, master_seed=seed), threads=threads),
+        "spectral route": lambda: hn.run_ensemble(
+            hn.RunConfig(spec=spec, f=tf.from_name("gauss(0.3,0.7)"), replicas=R,
+                         master_seed=seed), threads=threads),
+        "max_field_experiment": lambda: hn.max_field_experiment(
+            spec, kappa=0.3, E_grid_size=150, R=R, master_seed=seed, threads=threads),
+    }
+    for name, run in runs.items():
+        keys.clear()
+        run()
+        assert sorted(keys) == [(seed, r) for r in range(R)], name
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("law", ["gaussian", "rademacher", "two_point", "uniform"])
+def test_packed_route_matches_trace_lss_of_the_matrix(beta, law):
+    # the trace route's statistic from the packed draw, against the same sums over the
+    # matrix sample draws for the same key
+    entry = en.entry_from_config({"family": law, "p": 0.1} if law == "two_point" else law)
+    R, seed = 5, 23
+    for p in (pf.profile_flat(24), pf.profile_band(41, 5), pf.profile_random_ds(30, 2)):
+        spec = en.EnsembleSpec(beta, p, entry, entry)
+        for name in ("x", "x2", [0.5, -1.0, 2.0]):
+            f = tf.from_name(name)
+            cfg = hn.RunConfig(spec=spec, f=f, replicas=R, master_seed=seed, lambda_grid=(0.0,))
+            res = hn.run_ensemble(cfg)
+            c0, c1, c2 = coeffs = sp.quadratic_coeffs(f)
+            center = res.prediction.centering
+            for r in range(R):
+                H = en.sample(spec, (seed, r))
+                trace, frob_sq = float(np.trace(H).real), float(np.sum(np.abs(H) ** 2))
+                want = sp.trace_lss(p.N, trace, frob_sq, coeffs, center)
+                # relative to the terms the centered statistic is the difference of: with
+                # Rademacher entries ||H||_F^2 is fixed, and x^2's statistic is 0 up to rounding
+                terms = abs(c1 * trace) + abs(c2) * frob_sq + p.N * (abs(c0) + abs(center))
+                assert abs(res.lss_samples[r] - want) <= 1e-12 * terms, (p.descriptor, f.label, r)
+
+
+@pytest.mark.parametrize("beta, bound", [(1, 1.25), (2, 1.75)])
+def test_trace_route_holds_no_matrix(beta, bound):
+    # a packed draw is N(N - 1)/2 entries (complex for beta = 2) and its real vectors;
+    # what reaches 8 N^2 is cumulant_summary's S * S
+    N = 600
+    spec = en.EnsembleSpec(beta, pf.profile_flat(N), en.gaussian(), en.gaussian())
+    cfg = hn.RunConfig(spec=spec, f=F_X2, replicas=4, master_seed=1, lambda_grid=(0.0,))
+    tracemalloc.start()
+    try:
+        hn.run_ensemble(cfg, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * N * N
 
 
 @pytest.mark.parametrize("threads", [1, 2])
