@@ -9,6 +9,15 @@ config builders; everything else is imported from its layer module, e.g.
 `from wignerlss import spectral`.
 """
 
+import os
+
+# OpenBLAS reads this once, when numpy loads it. Its idle worker threads then spin 2^20
+# cycles (about 0.4 ms) before they sleep, in place of the default 2^28 (about 0.1 s of a
+# core after every threaded call). A much shorter spin would put them to sleep between the
+# many BLAS calls of one threaded eigensolve, and waking them costs wall time. A value the
+# user has set is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .errors import ConfigError, NumericalError
 from .testfn import from_name
 from .profile import profile_flat, profile_from_descriptor

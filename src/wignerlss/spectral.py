@@ -154,8 +154,10 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
     entries are destroyed. A float64 H goes to dsyevd, the routine np.linalg.eigvalsh runs
     on its copy; a complex128 H goes to zheevd_2stage, which reduces to a band and then to
     tridiagonal form. Any other H, and every H on a numpy without those names, goes to
-    np.linalg.eigvalsh, which solves a copy and leaves H unchanged. Either solve runs under
-    one_blas_thread, so the eigenvalues do not depend on the caller's BLAS thread count.
+    np.linalg.eigvalsh, which solves a copy and leaves H unchanged. Both routes read H's
+    upper triangle, so an H that is Hermitian only to check_hermitian's tolerance gets the
+    same matrix on each. Either solve runs under one_blas_thread, so the eigenvalues do not
+    depend on the caller's BLAS thread count.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -169,8 +171,8 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
     solve = _LAPACK.get(H.dtype) if _LAPACK is not None and H.flags.carray else None
     with one_blas_thread:
         if solve is None:
-            try:
-                eigs = np.linalg.eigvalsh(H)
+            try:   # eigvalsh reads the lower triangle of H^T, which is H's upper one
+                eigs = np.linalg.eigvalsh(H.T)
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
         else:

@@ -5,6 +5,7 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from wignerlss import cli
 from wignerlss import functionals as fl
 from wignerlss import harness as hn
+from wignerlss import spectral as sp
 from wignerlss.semicircle import gauss_cheb_nodes
 
 
@@ -266,12 +268,16 @@ def test_json_config_does_not_import_yaml(tmp_path):
     assert (lines[0], lines[-1]) == ("False", "False")
 
 
-def run_fresh_python(script: str, **env_vars: str) -> subprocess.CompletedProcess:
+def run_fresh_python(script: str, **env_vars: Optional[str]) -> subprocess.CompletedProcess:
     """script in a fresh interpreter that imports wignerlss from this checkout's src/, with
-    env_vars added to the environment."""
+    env_vars added to the environment; a None value removes that variable."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-               **env_vars)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
 
 
@@ -303,6 +309,25 @@ def test_spectral_outputs_do_not_depend_on_blas_threads(tmp_path):
                        (out / "sim" / "samples.csv").read_bytes())
     assert blobs["1"][0] == blobs["2"][0]
     assert blobs["1"][1] == blobs["2"][1]
+
+
+@pytest.mark.skipif(getattr(sp._OPENBLAS, "openblas_thread_timeout", None) is None,
+                    reason="numpy's OpenBLAS exports no thread-timeout getter")
+@pytest.mark.parametrize("preset, want", [(None, 20), ("24", 24)])
+def test_import_shortens_openblas_idle_spin(preset, want):
+    # this process may have set the variable already by importing wignerlss, so the child's
+    # environment is built without it, or with the user's own value
+    script = textwrap.dedent("""
+        import ctypes, os
+        import wignerlss
+        from wignerlss import spectral
+        getter = spectral._OPENBLAS.openblas_thread_timeout
+        getter.argtypes, getter.restype = (), ctypes.c_int
+        print(os.environ["OPENBLAS_THREAD_TIMEOUT"], getter())
+    """)
+    run = run_fresh_python(script, OPENBLAS_THREAD_TIMEOUT=preset)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(want), str(want)]
 
 
 def test_config_errors(tmp_path, capsys):

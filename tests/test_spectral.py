@@ -115,14 +115,19 @@ def test_inplace_solver_matches_eigvalsh(N):
                 assert H.tobytes() != before.tobytes()
 
 
-@pytest.mark.parametrize("beta", [1, 2])
-def test_fallback_solver_gives_the_same_sample(monkeypatch, beta):
+@pytest.mark.parametrize("beta, skew", [(1, 0.0), (2, 0.0), (1, 3e-13), (2, 3e-13)],
+                         ids=["1", "2", "1-skew", "2-skew"])
+def test_fallback_solver_gives_the_same_sample(monkeypatch, beta, skew):
     spec = en.EnsembleSpec(beta, pf.profile_band(120, 9), en.rademacher(), en.gaussian())
     H = en.sample(spec, (4, 1))
+    # skew > 0: H is Hermitian only to within check_hermitian's tolerance, and both routes
+    # must solve the same triangle of it
+    upper = np.triu_indices_from(H, 1)
+    H[upper] += np.random.default_rng(5).uniform(-skew, skew, upper[0].size)
     before = H.copy()
-    inplace = sp.eigenvalues(H.copy(), check_hermitian=False)
+    inplace = sp.eigenvalues(H.copy())
     monkeypatch.setattr(sp, "_LAPACK", None)
-    fallback = sp.eigenvalues(H, check_hermitian=False)
+    fallback = sp.eigenvalues(H)
     assert H.tobytes() == before.tobytes()   # eigvalsh solves a copy
     if beta == 1:
         assert fallback.eigs.tobytes() == inplace.eigs.tobytes()
