@@ -138,7 +138,7 @@ class CumulantSummary:
 def cumulant_summary(spec: EnsembleSpec) -> CumulantSummary:
     S = spec.profile.S
     diag = np.diag(S)
-    off_sq = float(np.sum(S * S) - np.sum(diag * diag))  # sum_{i != j} S_ij^2
+    off_sq = float(np.einsum("ij,ij->", S, S) - np.sum(diag * diag))  # sum_{i != j} S_ij^2
     diag_sq = float(np.sum(diag * diag))
     k3 = float(spec.diag.kappa3 * np.sum(diag ** 1.5))
     if spec.beta == 1:

@@ -22,7 +22,8 @@ _CHEB_NODES = 2048     # Gauss-Chebyshev nodes for the coefficients; raised to 2
 _INTEGRAL_NODES = 400  # the fewest Gauss-Chebyshev nodes of the integral route
 _MAX_PROFILE_NODES = 2 ** 17  # cap on the gap's node count, reached when 1 - rho < 1.2e-4
 _A_EIG_CUTOFF = 1e-14  # deflated eigenvalues below this contribute nothing to g
-_PHI_BLOCK = 2 * 400 * 256  # complex elements per vectorized block of the phi table
+_PHI_BLOCK = 2 * 400 * 256  # complex elements of one eigenvalue group across all M + 1 angles
+_PHI_CHUNK = 2 ** 14        # complex elements per vectorized chunk of one group's angles
 
 
 @dataclass
@@ -112,14 +113,25 @@ def integral_nodes(profile: VarianceProfile, J: int) -> int:
 
 def _pair_kernel_phi(M: int, a_spectrum: np.ndarray) -> np.ndarray:
     """phi(pi n / M), n = 0..M, for phi(theta) = Re sum_a a u / (1 - a u)^2 at u = exp(-i theta)
-    over the deflated spectrum a: O(M N) terms, in blocks of at most _PHI_BLOCK elements."""
+    over the deflated spectrum a: O(M N) terms.
+
+    The sum runs over groups of step = _PHI_BLOCK / (M + 1) eigenvalues, each group's terms
+    summed first and the groups added in order, and each group over chunks of about
+    _PHI_CHUNK elements of angles, so the temporaries do not grow with M or N. The chunks
+    leave every phi(pi n / M) the same sum in the same order as one chunk would.
+    """
     a = a_spectrum[np.abs(a_spectrum) > _A_EIG_CUTOFF]
     u = np.exp(-1j * np.pi * np.arange(M + 1) / M)
     phi = np.zeros(M + 1)
     step = max(1, _PHI_BLOCK // (M + 1))
-    for lo in range(0, a.size, step):
-        au = np.multiply.outer(u, a[lo:lo + step])
-        phi += (au / (1.0 - au) ** 2).real.sum(axis=1)
+    rows = max(1, _PHI_CHUNK // step)
+    for r in range(0, M + 1, rows):
+        for lo in range(0, a.size, step):
+            au = np.multiply.outer(u[r:r + rows], a[lo:lo + step])
+            t = 1.0 - au
+            t **= 2
+            np.divide(au, t, out=t)
+            phi[r:r + rows] += t.real.sum(axis=1)
     return phi
 
 

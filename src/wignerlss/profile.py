@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import spectral as sp
 from .errors import NumericalError
 
 _ROW_SUM_TOL = 1e-10        # construction-time Perron check
@@ -15,6 +16,7 @@ _BAND_BLEND = 1e-3          # flat blend restoring strict positivity of band pro
 _SINKHORN_TOL = 1e-12
 _SINKHORN_MAX_ITER = 10_000
 _RESOLVENT_GUARD = 1e-10
+_TILE = 64                  # rows and columns per tile of the in-place symmetrize and mirror
 
 
 @dataclass(eq=False)
@@ -54,6 +56,7 @@ class VarianceProfile:
 
     @classmethod
     def from_matrix(cls, S: np.ndarray, descriptor: Optional[dict] = None) -> "VarianceProfile":
+        """The profile of a caller's S, which is never written: eigvalsh solves a copy."""
         S = _checked(S)
         N = S.shape[0]
         return cls(
@@ -115,6 +118,62 @@ def _checked(S) -> np.ndarray:
     return S
 
 
+def _mirror_lower(S: np.ndarray) -> None:
+    """Copy S's strict lower triangle onto its upper one in place, one _TILE-row strip at a
+    time, so no N x N temporary is made."""
+    N = S.shape[0]
+    upper = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+    for lo in range(0, N, _TILE):
+        hi = min(lo + _TILE, N)
+        tile = S[lo:hi, lo:hi]
+        np.copyto(tile, tile.T, where=upper[:hi - lo, :hi - lo])  # copies the overlapping tile.T first
+        S[lo:hi, hi:] = S[hi:, lo:hi].T
+
+
+def _symmetrize(S: np.ndarray) -> None:
+    """S = 0.5 (S + S^T) in place, with no N x N temporary: each entry of the lower triangle
+    becomes (S_ij + S_ji) * 0.5, which is the bytes of S += S.T; S *= 0.5, since addition
+    commutes, and _mirror_lower copies it to the upper one."""
+    N = S.shape[0]
+    for lo in range(0, N, _TILE):
+        hi = min(lo + _TILE, N)
+        tile, strip = S[lo:hi, lo:hi], S[hi:, lo:hi]
+        np.add(tile, tile.T, out=tile)   # copies the overlapping tile.T first
+        np.add(strip, S[lo:hi, hi:].T, out=strip)
+        tile *= 0.5
+        strip *= 0.5
+    _mirror_lower(S)
+
+
+def _owned_profile(S: np.ndarray, descriptor: dict) -> VarianceProfile:
+    """from_matrix for a builder that owns S's buffer and hands it over: the spectrum is
+    solved in that buffer, with no N x N copy, and S comes back bit for bit."""
+    S = _checked(S)
+    return VarianceProfile(N=S.shape[0], S=S, spectrum=_spectrum_in_place(S)[::-1],
+                           descriptor=descriptor)
+
+
+def _spectrum_in_place(S: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the exactly symmetric S, solved in S's own buffer.
+
+    The solve is dsyevd on the caller's BLAS threads: eigvalsh's routine and threads, on the
+    same column-major matrix as eigvalsh's copy, S being exactly symmetric, so the bytes
+    are eigvalsh's. It destroys S's upper triangle and diagonal and leaves the strict lower
+    triangle, which is mirrored back, and the saved diagonal is put back, also when the
+    solve raises NumericalError. Without the LAPACKE drivers, or for a buffer that is not
+    C-contiguous, eigvalsh solves a copy.
+    """
+    solve = sp._LAPACK.get(S.dtype) if sp._LAPACK is not None and S.flags.carray else None
+    if solve is None:
+        return np.linalg.eigvalsh(S)
+    diag = S.diagonal().copy()
+    try:
+        return sp._solve_in_place(S, solve)
+    finally:
+        _mirror_lower(S)
+        np.fill_diagonal(S, diag)
+
+
 def profile_flat(N: int) -> VarianceProfile:
     """S_ij = 1/N: the classical Wigner profile; A = 0."""
     if N < 2:
@@ -141,8 +200,8 @@ def profile_random_ds(N: int, seed: int, roughness: float = 0.5) -> VarianceProf
     """Symmetric Sinkhorn scaling of exp(roughness * g), g symmetric standard normal.
 
     g is the upper triangle of one N x N standard normal draw, mirrored. Every step works
-    in place on that draw's buffer, so the build peaks at 2N^2 doubles: S and one copy,
-    first of S.T while symmetrizing, then eigvalsh's.
+    in place on that draw's buffer, the symmetrize and the eigensolve included, so the
+    build holds S and no other N x N array.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -168,9 +227,8 @@ def profile_random_ds(N: int, seed: int, roughness: float = 0.5) -> VarianceProf
     S = M
     S *= d[:, None]
     S *= d[None, :]
-    S += S.T   # numpy copies the overlapping S.T first, so this is 0.5 (S + S.T) bit for bit
-    S *= 0.5
-    return VarianceProfile.from_matrix(
+    _symmetrize(S)
+    return _owned_profile(
         S, {"type": "random", "N": N, "params": {"roughness": float(roughness)}, "seed": int(seed)}
     )
 
@@ -226,9 +284,8 @@ def profile_to_csv(profile: VarianceProfile, path) -> None:
 def profile_from_csv(path) -> VarianceProfile:
     S = np.loadtxt(path, delimiter=",", ndmin=2)
     if S.shape[0] == S.shape[1]:   # _checked rejects any other shape
-        S += S.T
-        S *= 0.5
-    return VarianceProfile.from_matrix(
+        _symmetrize(S)
+    return _owned_profile(
         S, {"type": "csv", "N": S.shape[0], "params": {"path": str(path)}, "seed": None}
     )
 

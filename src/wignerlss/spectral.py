@@ -176,14 +176,26 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
         else:
-            # LAPACK reads the C-order buffer as H^T = conj(H), which has the same real
-            # spectrum; for real H each step is the one on eigvalsh's copy
-            n = H.shape[0]
-            eigs = np.empty(n)
-            info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)
-            if info != 0:
-                raise NumericalError(f"eigenvalue solver failed: LAPACK info = {info}")
+            eigs = _solve_in_place(H, solve)
     return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq)
+
+
+def _solve_in_place(H: np.ndarray, solve) -> np.ndarray:
+    """Ascending eigenvalues of the C-contiguous Hermitian H by the LAPACKE driver solve
+    (an entry of _LAPACK) on H's own buffer, on the caller's BLAS threads; the one call
+    site of the LAPACKE drivers.
+
+    LAPACK reads the buffer column-major, as H^T = conj(H), which has the same real
+    spectrum, and with uplo 'L' it reads and destroys only H's upper triangle and diagonal:
+    H's strict lower triangle comes back untouched. For real H each step is the one
+    np.linalg.eigvalsh runs on its copy. A LAPACK info != 0 raises NumericalError.
+    """
+    n = H.shape[0]
+    eigs = np.empty(n)
+    info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)
+    if info != 0:
+        raise NumericalError(f"eigenvalue solver failed: LAPACK info = {info}")
+    return eigs
 
 
 def quadratic_coeffs(f: TestFunction) -> Optional[tuple]:

@@ -8,6 +8,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import chebyshev as _npcheb
 
+from wignerlss import functionals as fl
 from wignerlss import profile as pf
 from wignerlss import semicircle as sc
 from wignerlss.semicircle import gauss_cheb_nodes
@@ -136,3 +137,16 @@ def profile_random_dense(N: int, seed: int, roughness: float = 0.5) -> pf.Varian
     return pf.VarianceProfile.from_matrix(
         S, {"type": "random", "N": N, "params": {"roughness": float(roughness)}, "seed": int(seed)}
     )
+
+
+def pair_kernel_phi_one_chunk(M: int, a_spectrum: np.ndarray) -> np.ndarray:
+    """functionals._pair_kernel_phi with each eigenvalue group's table formed at all M + 1
+    angles at once: the same groups of _PHI_BLOCK / (M + 1) eigenvalues, added in order."""
+    a = a_spectrum[np.abs(a_spectrum) > fl._A_EIG_CUTOFF]
+    u = np.exp(-1j * np.pi * np.arange(M + 1) / M)
+    phi = np.zeros(M + 1)
+    step = max(1, fl._PHI_BLOCK // (M + 1))
+    for lo in range(0, a.size, step):
+        au = np.multiply.outer(u, a[lo:lo + step])
+        phi += (au / (1.0 - au) ** 2).real.sum(axis=1)
+    return phi

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -686,3 +687,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, BASE)
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "n")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_failed_profile_solve_exits_3(tmp_path, capsys, monkeypatch):
+    def garbling(layout, jobz, uplo, n, a, lda, w):
+        A = np.ctypeslib.as_array(ctypes.cast(a, ctypes.POINTER(ctypes.c_double)), shape=(n, n))
+        A[np.triu_indices(n)] = np.nan
+        return 1
+
+    monkeypatch.setattr(sp, "_LAPACK", {np.dtype(np.float64): garbling})
+    cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: random, N: 50, seed: 2}
+    testfn: x2
+    """)
+    assert cli.main(["predict", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: eigenvalue solver failed: LAPACK info = 1" in captured.err

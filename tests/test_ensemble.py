@@ -168,6 +168,20 @@ def scales_peak(spec):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("profile", [lambda: pf.profile_band(800, 100), lambda: pf.profile_random_ds(1000, 1)],
+                         ids=["band", "random"])
+def test_cumulant_summary_holds_no_matrix(profile):
+    spec = en.EnsembleSpec(1, profile(), en.rademacher(), en.two_point(0.2))
+    en.cumulant_summary(spec)
+    tracemalloc.start()
+    try:
+        en.cumulant_summary(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5   # S * S took 5.25 MB on the band profile and 8 MB on the random one
+
+
 def test_circulant_sampling_scales_are_O_N():
     for p in (pf.profile_flat(800), pf.profile_band(800, 100)):
         for beta in (1, 2):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flat_term_dense, msc_boundary, weighted_norm
+from oracles import flat_term_dense, msc_boundary, pair_kernel_phi_one_chunk, weighted_norm
 from wignerlss import ensemble as en
 from wignerlss import functionals as fl
 from wignerlss import profile as pf
@@ -118,6 +120,35 @@ def test_pair_kernel_g_matches_reference():
                 ref = F @ G @ F / M ** 2
                 got = fl._profile_term(F, p.a_spectrum)
                 assert abs(got - ref) <= 1e-12 * abs(ref), (p.N, M, f.label)
+
+
+@pytest.fixture(scope="module")
+def phi_profiles():
+    return [pf.profile_flat(300), pf.profile_band(300, 12), pf.profile_band(1000, 3),
+            pf.profile_random_ds(1000, 1)]
+
+
+@pytest.mark.parametrize("M", [400, 513, 1296, 14831])
+def test_pair_kernel_phi_matches_one_chunk_table(phi_profiles, M):
+    # chunking the angles leaves every phi(pi n / M) the same sum in the same order;
+    # M = 14,831 is band(1000, 3)'s own node count
+    for p in phi_profiles:
+        want = pair_kernel_phi_one_chunk(M, p.a_spectrum)
+        assert fl._pair_kernel_phi(M, p.a_spectrum).tobytes() == want.tobytes(), (p.descriptor, M)
+
+
+def test_integral_route_holds_no_profile_sized_table():
+    p = pf.profile_random_ds(1000, 1)
+    s = make_summary(p)
+    fl.clt_prediction(FX2, p, s, 1, check_paths=True)
+    tracemalloc.start()
+    try:
+        pred = fl.clt_prediction(FX2, p, s, 1, check_paths=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pred.paths_agree
+    assert peak < 2.5e6   # the phi table in one chunk per eigenvalue group took 9.9 MB
 
 
 def test_integral_nodes_follow_the_gap():

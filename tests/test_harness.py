@@ -337,7 +337,7 @@ def test_packed_route_matches_trace_lss_of_the_matrix(beta, law):
 @pytest.mark.parametrize("beta, bound", [(1, 1.25), (2, 1.75)])
 def test_trace_route_holds_no_matrix(beta, bound):
     # a packed draw is N(N - 1)/2 entries (complex for beta = 2) and its real vectors;
-    # what reaches 8 N^2 is cumulant_summary's S * S
+    # cumulant_summary reads S's squares by einsum, with no N x N temporary
     N = 600
     spec = en.EnsembleSpec(beta, pf.profile_flat(N), en.gaussian(), en.gaussian())
     cfg = hn.RunConfig(spec=spec, f=F_X2, replicas=4, master_seed=1, lambda_grid=(0.0,))

@@ -1,3 +1,4 @@
+import ctypes
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from oracles import profile_random_dense
 from wignerlss import profile as pf
+from wignerlss import spectral as sp
 from wignerlss.errors import NumericalError
 
 
@@ -127,6 +129,68 @@ def test_random_ds_build_holds_two_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * N * N  # S and the eigensolver's copy; out of place was 4.9 x 8N^2
+
+
+def test_random_ds_build_holds_one_matrix():
+    N = 600
+    pf.profile_random_ds(N, 1)
+    tracemalloc.start()
+    try:
+        pf.profile_random_ds(N, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * N * N  # S, solved in its own buffer; S.T and eigvalsh's copy took 2.0
+
+
+@pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 130, 300])
+def test_tiled_symmetrize_and_mirror_match_the_whole_matrix(N):
+    A = np.random.default_rng(N).standard_normal((N, N))
+    want = A.copy()
+    want += want.T
+    want *= 0.5
+    S = A.copy()
+    pf._symmetrize(S)
+    assert S.tobytes() == want.tobytes()
+    S = A.copy()
+    pf._mirror_lower(S)
+    assert S.tobytes() == (np.tril(A) + np.tril(A, -1).T).tobytes()
+
+
+@pytest.mark.parametrize("lapack", [True, False], ids=["lapacke", "eigvalsh"])
+@pytest.mark.parametrize("N", [2, 37, 129, 1000])
+def test_in_place_build_matches_from_matrix(monkeypatch, tmp_path, N, lapack):
+    # the build solves S in its own buffer and restores it; from_matrix solves a copy
+    if not lapack:
+        monkeypatch.setattr(sp, "_LAPACK", None)
+    elif sp._LAPACK is None:
+        pytest.skip("numpy exports no LAPACKE eigenvalue drivers")
+    p = pf.profile_random_ds(N, 4)
+    q = pf.VarianceProfile.from_matrix(p.S.copy())
+    assert p.S.tobytes() == q.S.tobytes()
+    assert p.spectrum.tobytes() == q.spectrum.tobytes()
+    path = tmp_path / "S.csv"
+    pf.profile_to_csv(p, path)
+    c = pf.profile_from_csv(path)
+    assert c.S.tobytes() == p.S.tobytes()
+    assert c.spectrum.tobytes() == p.spectrum.tobytes()
+
+
+def test_failed_in_place_solve_restores_S_and_raises(monkeypatch):
+    def garbling(layout, jobz, uplo, n, a, lda, w):
+        # LAPACK's workspace: the upper triangle and diagonal of the C-order buffer
+        A = np.ctypeslib.as_array(ctypes.cast(a, ctypes.POINTER(ctypes.c_double)), shape=(n, n))
+        A[np.triu_indices(n)] = np.nan
+        return 1
+
+    S = pf.profile_random_ds(40, 3).S.copy()
+    before = S.copy()
+    monkeypatch.setattr(sp, "_LAPACK", {np.dtype(np.float64): garbling})
+    with pytest.raises(NumericalError, match="info = 1"):
+        pf._spectrum_in_place(S)
+    assert S.tobytes() == before.tobytes()
+    with pytest.raises(NumericalError, match="info = 1"):
+        pf.profile_random_ds(40, 3)
 
 
 def test_random_ds_zero_roughness_is_flat():
