@@ -65,10 +65,11 @@ def load_config(path) -> dict:
 
 
 def _integer(value, key: str) -> int:
-    """value as an int: an int or a float with no fractional part, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1 != 0:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    """value as an int by profile._whole's rule: no fractional part, and not a bool."""
+    try:
+        return pf._whole(value, key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require(cfg: dict, key: str) -> object:
@@ -117,14 +118,14 @@ def _entry_from_config(v, ctx: str) -> en.EntryDistribution:
 def _ensemble_from_config(d, quick: bool) -> en.EnsembleSpec:
     d = _need_mapping(d, "ensemble")
     _check_keys(d, _ENSEMBLE_KEYS, "ensemble")
-    beta = d.get("beta", 1)
+    beta = _integer(d.get("beta", 1), "ensemble.beta")
     if beta not in (1, 2):
         raise ConfigError(f"ensemble.beta must be 1 or 2, got {beta!r}")
     profile = _profile_from_config(_require(d, "profile"), quick)
     off = _entry_from_config(d.get("offdiag", "gaussian"), "ensemble.offdiag")
     diag = _entry_from_config(d.get("diag", "gaussian"), "ensemble.diag")
     try:
-        return en.EnsembleSpec(int(beta), profile, off, diag)
+        return en.EnsembleSpec(beta, profile, off, diag)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -143,14 +144,13 @@ def _run_section(cfg: dict) -> dict:
 
 
 def _replicas_and_seed(d: dict, args, default=None) -> tuple:
-    """Replica count and master seed: flags over the run section, replicas capped by --quick."""
+    """Replica count and master seed: flags over the run section, replicas capped by --quick;
+    ranges are the harness's."""
     replicas = args.replicas if args.replicas is not None else d.get("replicas", default)
     if replicas is None:
         raise ConfigError("run.replicas is required (or pass --replicas)")
     replicas = _integer(replicas, "run.replicas")
     seed = args.seed if args.seed is not None else _integer(d.get("master_seed", 0), "run.master_seed")
-    if not 0 <= seed < 2 ** 64:  # a Philox key word
-        raise ConfigError(f"master seed must lie in [0, 2**64), got {seed}")
     if args.quick:
         replicas = min(replicas, _QUICK_REPLICAS)
     return replicas, seed
@@ -206,6 +206,12 @@ def _warn_lambda_window(rc: hn.RunConfig) -> None:
               f"|lambda| <= {win:.3g} at N = {rc.spec.N}", file=sys.stderr)
 
 
+def _warn_truncated(pred: fl.CltPrediction) -> None:
+    if pred.truncated:
+        print(f"warning: the Chebyshev series stopped at J = {pred.J}, the cap, before its "
+              "last decade of coefficients was negligible", file=sys.stderr)
+
+
 def _progress(done: int, total: int) -> None:
     step = max(1, total // 10)
     if done == total or done % step == 0:
@@ -221,6 +227,7 @@ def cmd_predict(args) -> int:
         pred = fl.clt_prediction(f, spec.profile, summary, spec.beta, check_paths=True)
     except ValueError as exc:   # f is not finite at a quadrature node
         raise ConfigError(f"bad testfn: {exc}") from exc
+    _warn_truncated(pred)
     if not pred.paths_agree:
         print("warning: variance routes disagree: V = {!r}, V_integral = {!r} (on {} nodes)".format(
               pred.variance, pred.integral_variance, fl.integral_nodes(spec.profile, pred.J)), file=sys.stderr)
@@ -245,6 +252,7 @@ def _simulate(args, verify: bool = False):
         res = hn.run_ensemble(rc, threads=args.threads, progress=_progress)
     except ValueError as exc:   # from the prediction; a failing replica raises NumericalError
         raise ConfigError(f"bad testfn: {exc}") from exc
+    _warn_truncated(res.prediction)
     return cfg, res
 
 

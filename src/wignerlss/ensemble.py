@@ -8,7 +8,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .profile import VarianceProfile, toeplitz_view
+from .profile import VarianceProfile, _whole, toeplitz_view
+
+# rows of the strict upper triangle per sampler call in sample. A multiple of 4, so every
+# block but the last draws an even count and rademacher, two values per 64-bit word, leaves
+# no half word between blocks even where a generator would drop it at the end of a call.
+_DRAW_ROWS = 64
+
+
+def _row_blocks(N: int):
+    """(lo, hi, a, b) per _DRAW_ROWS-row block lo..hi of the strict upper triangle, whose
+    (hi - lo)(2N - lo - hi - 1)/2 entries are a..b of its row-major packing."""
+    for lo in range(0, N, _DRAW_ROWS):
+        hi = min(lo + _DRAW_ROWS, N)
+        yield lo, hi, lo * (2 * N - lo - 1) // 2, hi * (2 * N - hi - 1) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +100,7 @@ class EnsembleSpec:
     diag: EntryDistribution
 
     def __post_init__(self):
+        self.beta = _whole(self.beta, "beta")
         if self.beta not in (1, 2):
             raise ValueError("beta must be 1 (real symmetric) or 2 (complex Hermitian)")
 
@@ -168,6 +182,11 @@ def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None, *,
     packed=True returns (upper, diag) instead: H's strict upper triangle in row-major
     order and H's diagonal, byte for byte the values the same draw writes into H, with no
     N x N array and no mirror; out must then be None.
+
+    Each real part is drawn in blocks of _DRAW_ROWS rows of the strict upper triangle, one
+    sampler call each, with the bytes of one whole-triangle call (the beta = 1 packed form,
+    whose drawn vector is upper, makes that one call). Each block is freed before the next
+    is drawn, so beside H or upper one block's draw, 8 * _DRAW_ROWS * N bytes, is live.
     """
     rng = replica_rng(*key)
     N = spec.N
@@ -180,10 +199,12 @@ def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None, *,
         if spec.beta == 1:   # the drawn vector, scaled in place, is the upper triangle
             upper = spec.offdiag.sampler(rng, n)
             upper *= scale
-        else:                # each real vector is scaled into its part and freed
+        else:                # each real part is drawn and scaled by row blocks
             upper = np.empty(n, dtype=dtype)
             for part in (upper.real, upper.imag):
-                np.multiply(spec.offdiag.sampler(rng, n), scale, out=part)
+                for _, _, a, b in _row_blocks(N):
+                    np.multiply(spec.offdiag.sampler(rng, b - a),
+                                scale[a:b] if np.ndim(scale) else scale, out=part[a:b])
         d = spec.diag.sampler(rng, N)
         return upper, (diag_scale * d).astype(dtype, copy=False)
     if out is None:
@@ -194,18 +215,19 @@ def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None, *,
     else:
         H = out
     upper, scale, diag_scale = spec._sampling_scales
-    # one real vector at a time: the real parts, then for beta=2 the imaginary parts, each
-    # written unscaled to the upper triangle, mirrored (negated for Im H) onto the lower one
-    # and multiplied in place by the scale, diagonal included (it is overwritten last), so
+    # the real parts, then for beta=2 the imaginary parts, each drawn by row blocks, written
+    # unscaled to the block's upper triangle, mirrored (negated for Im H) onto the lower one,
+    # then multiplied in place by the scale, diagonal included (it is overwritten last), so
     # each entry is the one product xi * scale.
     parts = (H,) if spec.beta == 1 else (H.real, H.imag)
     for k, part in enumerate(parts):
-        xi = spec.offdiag.sampler(rng, N * (N - 1) // 2)
-        part[upper] = xi
-        if k == 1:
-            np.negative(xi, out=xi)
-        part.T[upper] = xi
-        del xi   # so that the next part's draw is the only live vector
+        for lo, hi, a, b in _row_blocks(N):
+            xi = spec.offdiag.sampler(rng, b - a)
+            part[lo:hi][upper[lo:hi]] = xi
+            if k == 1:
+                np.negative(xi, out=xi)
+            part.T[lo:hi][upper[lo:hi]] = xi
+            del xi   # so that the next block's draw is the only live vector
         part *= scale
     d = spec.diag.sampler(rng, N)
     H[np.arange(N), np.arange(N)] = diag_scale * d

@@ -32,7 +32,9 @@ class CltPrediction:
     (f, ensemble) pair.
 
     With check_paths, integral_variance holds the integral-route value the series variance
-    was checked against. centering and integral_variance stay out of to_dict.
+    was checked against. truncated is True when J stopped at J_CAP before the last decade
+    of coefficients was negligible. centering, integral_variance and truncated stay out of
+    to_dict.
     """
 
     variance: float
@@ -44,6 +46,7 @@ class CltPrediction:
     tail_estimate: float = 0.0
     paths_agree: Optional[bool] = None
     integral_variance: Optional[float] = None
+    truncated: bool = False
 
     def __post_init__(self):
         if self.variance < _POSITIVITY_FLOOR:
@@ -266,7 +269,8 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
     Negligible means two things: the last decade carries at most _LAST_DECADE_FRACTION of the
     variance series, and its terms of the mean shift sum to at most _LAST_DECADE_FRACTION
     times max(1, sqrt V). The second is needed because V reads squared coefficients and E
-    reads them linearly. J stops at J_CAP either way.
+    reads them linearly. J stops at J_CAP either way; the prediction's truncated then says
+    whether the test was still not met.
 
     The centering int f d(rho_sc) is (t_0 - t_2)/2, as rho_sc(x) dx = (1 - cos 2 theta)
     d theta / pi at x = 2 cos(theta). A test function that is not finite at a node raises
@@ -296,4 +300,5 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
         tail_estimate=t.tail_estimate,
         paths_agree=paths_agree,
         integral_variance=Vi,
+        truncated=not negligible,
     )

@@ -15,6 +15,7 @@ from . import ensemble as en
 from . import functionals as fl
 from . import spectral as sp
 from .errors import NumericalError
+from .profile import _whole
 from .testfn import TestFunction
 
 _COLLISION_NUDGE = 1e-9
@@ -32,9 +33,19 @@ def _maxfield_params(kappa: float, grid_size: int) -> tuple:
     """The max-field experiment's (kappa, grid size), range-checked."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("maxfield kappa must be in (0, 1)")
-    if int(grid_size) < 100:
+    if _whole(grid_size, "maxfield grid") < 100:
         raise ValueError("maxfield grid must have >= 100 points")
     return float(kappa), int(grid_size)
+
+
+def _replicas_and_seed(replicas, master_seed, least: int) -> tuple:
+    """(replicas, master_seed) as ints: at least `least` replicas, and a seed in [0, 2**64),
+    a Philox key word; ValueError otherwise, before any draw."""
+    if _whole(replicas, "replicas") < least:
+        raise ValueError(f"replicas must be >= {least}")
+    if not 0 <= _whole(master_seed, "master_seed") < 2 ** 64:
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
+    return int(replicas), int(master_seed)
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,9 @@ class RunConfig:
     rigidity: Optional[float] = None
 
     def __post_init__(self):
-        if self.replicas < 2:
-            raise ValueError("replicas must be >= 2")
+        replicas, seed = _replicas_and_seed(self.replicas, self.master_seed, 2)
+        object.__setattr__(self, "replicas", replicas)
+        object.__setattr__(self, "master_seed", seed)
         lam = np.asarray(self.lambda_grid, dtype=float)
         if lam.size and not np.all(np.isfinite(lam)):
             raise ValueError("lambda_grid must be finite")
@@ -342,8 +354,7 @@ def max_field_experiment(spec: en.EnsembleSpec, kappa: float, E_grid_size: int, 
                          progress: Optional[Callable[[int, int], None]] = None) -> dict:
     """Distribution of sup Re L / (sqrt2 log N) and the two Im analogues over R replicas."""
     kappa, E_grid_size = _maxfield_params(kappa, E_grid_size)
-    if R < 1:
-        raise ValueError("replicas must be >= 1")
+    R, master_seed = _replicas_and_seed(R, master_seed, 1)
 
     def stat(H: np.ndarray, r: int):
         s = sp.eigenvalues(H, check_hermitian=False)

@@ -164,22 +164,29 @@ def test_predict_band_small_gap_paths_agree(tmp_path, capsys):
     assert "warning" not in captured.err
 
 
+CAPPED = """
+ensemble:
+  profile: {type: flat, N: 20}
+testfn: logre(0,0.001)
+run: {replicas: 4}
+"""
+CAP_WARNING = ("warning: the Chebyshev series stopped at J = 2048, the cap, before its last "
+               "decade of coefficients was negligible")
+
+
 def test_predict_warns_when_routes_disagree(tmp_path, capsys):
     # logre(0, 0.001): the series stops at J_CAP short of V, and the routes really disagree;
-    # predict still exits 0
-    cfg = write_config(tmp_path, """
-    ensemble:
-      profile: {type: flat, N: 20}
-    testfn: logre(0,0.001)
-    """)
+    # predict warns about both and still exits 0
+    cfg = write_config(tmp_path, CAPPED)
     assert cli.main(["predict", "--config", cfg]) == 0
     captured = capsys.readouterr()
     out = json.loads(captured.out)
     assert out["paths_agree"] is False
     lines = [line for line in captured.err.splitlines() if line.startswith("warning:")]
-    assert len(lines) == 1, captured.err
-    assert repr(out["V"]) in lines[0] and repr(out["V_integral"]) in lines[0]
-    assert out["J"] == 2048 and "(on 4096 nodes)" in lines[0]
+    assert len(lines) == 2, captured.err
+    assert lines[0] == CAP_WARNING
+    assert repr(out["V"]) in lines[1] and repr(out["V_integral"]) in lines[1]
+    assert out["J"] == 2048 and "(on 4096 nodes)" in lines[1]
     cfg = write_config(tmp_path, """
     ensemble:
       profile: {type: flat, N: 20}
@@ -191,10 +198,27 @@ def test_predict_warns_when_routes_disagree(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("command", ["predict", "simulate", "verify"])
+def test_series_stopped_at_the_cap_warns_once(tmp_path, capsys, command):
+    # the warning goes to stderr only: stdout and the output files keep their bytes
+    out = {}
+    for name, text in (("capped", CAPPED), ("x2", CAPPED.replace("logre(0,0.001)", "x2"))):
+        cfg = write_config(tmp_path, text, f"{name}.yaml")
+        cli.main([command, "--config", cfg, "--out", str(tmp_path / name)])
+        captured = capsys.readouterr()
+        out[name] = json.loads(captured.out)
+        warned = [line for line in captured.err.splitlines() if "stopped at J" in line]
+        assert warned == ([CAP_WARNING] if name == "capped" else []), captured.err
+    pred = out["capped"] if command == "predict" else out["capped"]["prediction"]
+    assert pred["J"] == 2048 and "truncated" not in pred
+
+
 @pytest.mark.parametrize("N, testfn", [(50, "cheb(800)"), (50, "cheb(1500)"), (20, "logre(0,0.01)")])
 def test_predict_routes_agree_beyond_400_nodes(tmp_path, capsys, N, testfn):
     # the integral route runs on 2J nodes; on a fixed 400-node grid T_800 vanishes at every
-    # node, T_1500 aliases, and logre(0, 0.01) is under-resolved
+    # node, T_1500 aliases, and logre(0, 0.01) is under-resolved. The routes agree, so the
+    # one warning is logre(0, 0.01)'s: its mean-shift terms in the last decade are 3.3e-6
+    # at J = 2048, so the series stops at the cap
     cfg = write_config(tmp_path, f"""
     ensemble:
       profile: {{type: flat, N: {N}}}
@@ -204,7 +228,7 @@ def test_predict_routes_agree_beyond_400_nodes(tmp_path, capsys, N, testfn):
     captured = capsys.readouterr()
     out = json.loads(captured.out)
     assert out["paths_agree"] is True, out
-    assert captured.err == ""
+    assert captured.err == (CAP_WARNING + "\n" if testfn.startswith("logre") else "")
 
 
 def test_predict_cheb(tmp_path, capsys):
@@ -417,6 +441,13 @@ def test_non_integral_sizes_are_config_errors_before_any_draw(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "config error:" in err and f"{key} must be an integer" in err, err
     assert draws == [] and not (out / "samples.csv").exists()
+
+
+def test_ensemble_beta_bool_is_config_error(tmp_path, capsys):
+    # True == 1, so a bool passes a (1, 2) membership test; the integer rule rejects it
+    cfg = write_config(tmp_path, BASE.replace("beta: 1", "beta: true"))
+    assert cli.main(["predict", "--config", cfg]) == 2
+    assert "config error: ensemble.beta must be an integer, got True" in capsys.readouterr().err
 
 
 def test_integral_float_sizes_are_accepted(tmp_path, capsys):

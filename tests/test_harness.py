@@ -35,6 +35,29 @@ def test_config_validation():
         small_config(rigidity=0.7)
 
 
+@pytest.mark.parametrize("run", [
+    lambda spec: hn.RunConfig(spec=spec, f=F_X2, replicas=4, master_seed=1.5),
+    lambda spec: hn.RunConfig(spec=spec, f=F_X2, replicas=4, master_seed=-1),
+    lambda spec: hn.RunConfig(spec=spec, f=F_X2, replicas=4, master_seed=2 ** 64),
+    lambda spec: hn.RunConfig(spec=spec, f=F_X2, replicas=4.5, master_seed=1),
+    lambda spec: hn.RunConfig(spec=spec, f=F_X2, replicas=True, master_seed=1),
+    lambda spec: hn.RunConfig(spec=spec, f=F_X2, replicas=4, master_seed=1, maxfield=(0.2, 150.7)),
+    lambda spec: hn.max_field_experiment(spec, 0.2, 150, 2.5),
+    lambda spec: hn.max_field_experiment(spec, 0.2, 150.7, 2),
+    lambda spec: hn.max_field_experiment(spec, 0.2, 150, 2, master_seed=2.5),
+    lambda spec: hn.max_field_experiment(spec, 0.2, 150, 2, master_seed=2 ** 64),
+], ids=["seed-fraction", "seed-negative", "seed-2**64", "replicas-fraction", "replicas-bool",
+        "grid-fraction", "maxfield-R-fraction", "maxfield-grid-fraction",
+        "maxfield-seed-fraction", "maxfield-seed-2**64"])
+def test_non_integral_counts_and_seeds_fail_before_any_draw(monkeypatch, run):
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, key, **kw: draws.append(key))
+    spec = en.EnsembleSpec(1, pf.profile_flat(10), en.gaussian(), en.gaussian())
+    with pytest.raises(ValueError, match="must be an integer|must lie in"):
+        run(spec)
+    assert draws == []
+
+
 def test_empirical_char_trivial():
     x = np.zeros(100)
     assert hn.empirical_char(x, 0.0) == 1.0
