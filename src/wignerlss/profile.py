@@ -56,13 +56,13 @@ class VarianceProfile:
 
     @classmethod
     def from_matrix(cls, S: np.ndarray, descriptor: Optional[dict] = None) -> "VarianceProfile":
-        """The profile of a caller's S, which is never written: eigvalsh solves a copy."""
+        """The profile of a caller's S, which is never written: S.copy() is solved in place."""
         S = _checked(S)
         N = S.shape[0]
         return cls(
             N=N,
             S=S,
-            spectrum=np.linalg.eigvalsh(S)[::-1],
+            spectrum=sp._solve_in_place(S.copy())[::-1],
             descriptor=descriptor or {"type": "matrix", "N": N, "params": {}, "seed": None},
         )
 
@@ -106,11 +106,12 @@ def _checked(S) -> np.ndarray:
     N = S.shape[0]
     if S.shape != (N, N):
         raise ValueError("S must be square")
-    if not np.all(np.isfinite(S)):
+    lo, hi = np.min(S), np.max(S)   # NaN and +-inf reach one of the two
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("S entries must be finite")
-    if not np.array_equal(S, S.T):
+    if not all(np.array_equal(S[i:i + _TILE], S[:, i:i + _TILE].T) for i in range(0, N, _TILE)):
         raise ValueError("S must be exactly symmetric")
-    if np.min(S) <= 0.0:
+    if lo <= 0.0:
         raise ValueError("S entries must be strictly positive")
     e = np.ones(N)
     if np.max(np.abs(S @ e - e)) > _ROW_SUM_TOL:
@@ -154,21 +155,17 @@ def _owned_profile(S: np.ndarray, descriptor: dict) -> VarianceProfile:
 
 
 def _spectrum_in_place(S: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the exactly symmetric S, solved in S's own buffer.
+    """Ascending eigenvalues of the exactly symmetric, writeable S by sp._solve_in_place,
+    on the caller's BLAS threads, with S given back bit for bit.
 
-    The solve is dsyevd on the caller's BLAS threads: eigvalsh's routine and threads, on the
-    same column-major matrix as eigvalsh's copy, S being exactly symmetric, so the bytes
-    are eigvalsh's. It destroys S's upper triangle and diagonal and leaves the strict lower
-    triangle, which is mirrored back, and the saved diagonal is put back, also when the
-    solve raises NumericalError. Without the LAPACKE drivers, or for a buffer that is not
-    C-contiguous, eigvalsh solves a copy.
+    Its LAPACKE route is dsyevd in S's own buffer, eigvalsh's routine and threads on the
+    same column-major matrix, so the bytes are eigvalsh's. It destroys S's upper triangle
+    and diagonal; the strict lower triangle is mirrored back and the saved diagonal put
+    back, also when the solve raises NumericalError.
     """
-    solve = sp._LAPACK.get(S.dtype) if sp._LAPACK is not None and S.flags.carray else None
-    if solve is None:
-        return np.linalg.eigvalsh(S)
     diag = S.diagonal().copy()
     try:
-        return sp._solve_in_place(S, solve)
+        return sp._solve_in_place(S)
     finally:
         _mirror_lower(S)
         np.fill_diagonal(S, diag)
@@ -209,8 +206,7 @@ def profile_random_ds(N: int, seed: int, roughness: float = 0.5) -> VarianceProf
         raise ValueError("roughness must lie in [0, 1]")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     M = rng.standard_normal((N, N))
-    for i in range(1, N):
-        M[i, :i] = M[:i, i]
+    _mirror_lower(M.T)   # M's upper triangle onto its lower one
     M *= roughness
     np.exp(M, out=M)
 

@@ -149,15 +149,13 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
     exactly Hermitian. tr H and ||H||_F^2 are read first; a non-finite entry raises
     NumericalError, as does a solver failure.
 
-    Where numpy exports the LAPACKE drivers (its OpenBLAS pip wheels), a C-contiguous,
-    writeable float64 or complex128 H is solved in place, with no N x N copy, and its
-    entries are destroyed. A float64 H goes to dsyevd, the routine np.linalg.eigvalsh runs
-    on its copy; a complex128 H goes to zheevd_2stage, which reduces to a band and then to
-    tridiagonal form. Any other H, and every H on a numpy without those names, goes to
-    np.linalg.eigvalsh, which solves a copy and leaves H unchanged. Both routes read H's
-    upper triangle, so an H that is Hermitian only to check_hermitian's tolerance gets the
-    same matrix on each. Either solve runs under one_blas_thread, so the eigenvalues do not
-    depend on the caller's BLAS thread count.
+    The solve is _solve_in_place's. Where numpy exports the LAPACKE drivers (its OpenBLAS
+    pip wheels), a C-contiguous, writeable float64 or complex128 H is solved in place, with
+    no N x N copy, and its entries are destroyed: a float64 H by dsyevd, eigvalsh's routine,
+    a complex128 H by zheevd_2stage. Any other H goes to eigvalsh's copy and is left as it
+    was. Both routes read H's upper triangle, so an H that is Hermitian only to
+    check_hermitian's tolerance gets the same matrix on each. Either solve runs under
+    one_blas_thread, so the eigenvalues do not depend on the caller's BLAS thread count.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -167,29 +165,28 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
     trace, frob_sq = float(np.trace(H).real), _sum_sq(H)
     if not np.isfinite(frob_sq):
         raise NumericalError(f"non-finite matrix: ||H||_F^2 = {frob_sq!r}")
-    # flags.carray: C-contiguous, aligned and writeable, as an in-place solve needs
-    solve = _LAPACK.get(H.dtype) if _LAPACK is not None and H.flags.carray else None
     with one_blas_thread:
-        if solve is None:
-            try:   # eigvalsh reads the lower triangle of H^T, which is H's upper one
-                eigs = np.linalg.eigvalsh(H.T)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
-        else:
-            eigs = _solve_in_place(H, solve)
+        eigs = _solve_in_place(H)
     return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq)
 
 
-def _solve_in_place(H: np.ndarray, solve) -> np.ndarray:
-    """Ascending eigenvalues of the C-contiguous Hermitian H by the LAPACKE driver solve
-    (an entry of _LAPACK) on H's own buffer, on the caller's BLAS threads; the one call
-    site of the LAPACKE drivers.
+def _solve_in_place(H: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian H's upper triangle, on the caller's BLAS
+    threads: the package's one eigensolve, and the one place that picks its driver.
 
-    LAPACK reads the buffer column-major, as H^T = conj(H), which has the same real
-    spectrum, and with uplo 'L' it reads and destroys only H's upper triangle and diagonal:
-    H's strict lower triangle comes back untouched. For real H each step is the one
-    np.linalg.eigvalsh runs on its copy. A LAPACK info != 0 raises NumericalError.
+    A C-contiguous, aligned, writeable H (flags.carray) of a dtype in _LAPACK, read at each
+    call, goes to that LAPACKE driver on H's own buffer. LAPACK reads it column-major, as
+    H^T = conj(H), with the same spectrum, and with uplo 'L' destroys only H's upper
+    triangle and diagonal. For real H each step is the one np.linalg.eigvalsh runs on its
+    copy. Any other H goes to np.linalg.eigvalsh of H^T, which solves a copy. A failure on
+    either route raises NumericalError.
     """
+    solve = _LAPACK.get(H.dtype) if _LAPACK is not None and H.flags.carray else None
+    if solve is None:
+        try:
+            return np.linalg.eigvalsh(H.T)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     n = H.shape[0]
     eigs = np.empty(n)
     info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)

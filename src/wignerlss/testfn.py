@@ -140,6 +140,9 @@ def from_name(spec) -> TestFunction:
             args = [float(v) for v in m.group(2).split(",")]
         except ValueError as exc:
             raise ValueError(f"bad test-function arguments in {s!r}") from exc
+        bad = [v for v in args if not np.isfinite(v)]
+        if bad and m.group(1) != "cheb":   # cheb_t_fn's range check names its order itself
+            raise ValueError(f"test-function arguments must be finite, got {bad[0]!r} in {s!r}")
         return _BUILTIN_CTORS[m.group(1)](*args)
     raise ValueError(f"unknown test function {s!r}")
 

@@ -260,6 +260,20 @@ def test_predict_cheb(tmp_path, capsys):
         assert "Chebyshev order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, arg", [("gauss(0.3,nan)", "nan"), ("logre(inf,0.1)", "inf")])
+def test_non_finite_testfn_arguments_are_config_errors_before_any_draw(tmp_path, capsys,
+                                                                       monkeypatch, bad, arg):
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, key, out=None: draws.append(key))
+    cfg = write_config(tmp_path, BASE.replace("testfn: x2", f"testfn: {bad}"))
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    want = f"config error: bad testfn: test-function arguments must be finite, got {arg} in '{bad}'"
+    assert want in err, err
+    assert draws == [] and not (out / "samples.csv").exists()
+
+
 def test_commands_run_without_scipy(tmp_path):
     # a fresh interpreter: other tests import SciPy into this one
     cfg = write_config(tmp_path, BASE.replace("testfn: x2", "testfn: gauss(0.3,0.7)"))
@@ -736,3 +750,22 @@ def test_failed_profile_solve_exits_3(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical failure: eigenvalue solver failed: LAPACK info = 1" in captured.err
+
+
+def test_failed_profile_eigvalsh_exits_3(tmp_path, capsys, monkeypatch):
+    # the eigvalsh route's LinAlgError is a ValueError, which a profile build would report
+    # as a config error; it is a solver failure, as on the LAPACKE route
+    def failing(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(sp, "_LAPACK", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: random, N: 50, seed: 2}
+    testfn: x2
+    """)
+    assert cli.main(["predict", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: eigenvalue solver failed: Eigenvalues did not converge" in captured.err

@@ -155,6 +155,37 @@ def test_tiled_symmetrize_and_mirror_match_the_whole_matrix(N):
     S = A.copy()
     pf._mirror_lower(S)
     assert S.tobytes() == (np.tril(A) + np.tril(A, -1).T).tobytes()
+    S = A.copy()
+    pf._mirror_lower(S.T)   # as profile_random_ds mirrors its draw: upper onto lower
+    assert S.tobytes() == (np.triu(A) + np.triu(A, 1).T).tobytes()
+
+
+@pytest.mark.parametrize("build, args, bound", [
+    (pf.profile_random_ds, (600, 1), 1.10), (pf.profile_band, (800, 100), 0.08)],
+    ids=["random", "band"])
+def test_checks_make_no_dense_temporaries(build, args, bound):
+    # _checked reads finiteness off min and max and symmetry in _TILE-row strips; its N x N
+    # bool temporaries took the peaks to 1.15 and 0.16 x 8N^2
+    N = args[0]
+    build(*args)
+    tracemalloc.start()
+    try:
+        build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * N * N
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"), (0.3, "symmetric")])
+def test_checks_name_the_fault_in_any_strip(bad, message):
+    N = 150
+    for i, j in ((0, 1), (70, 140), (149, 3)):
+        S = np.full((N, N), 1.0 / N)
+        S[i, j] = bad
+        with pytest.raises(ValueError, match=message):
+            pf.VarianceProfile.from_matrix(S)
 
 
 @pytest.mark.parametrize("lapack", [True, False], ids=["lapacke", "eigvalsh"])
@@ -191,6 +222,23 @@ def test_failed_in_place_solve_restores_S_and_raises(monkeypatch):
     assert S.tobytes() == before.tobytes()
     with pytest.raises(NumericalError, match="info = 1"):
         pf.profile_random_ds(40, 3)
+
+
+def test_failed_eigvalsh_raises_numerical_error(monkeypatch):
+    # without the LAPACKE drivers every solve is eigvalsh's, and its LinAlgError is a
+    # solver failure, not a ValueError
+    def failing(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    S = pf.profile_random_ds(40, 3).S.copy()
+    before = S.copy()
+    monkeypatch.setattr(sp, "_LAPACK", None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NumericalError, match="eigenvalue solver failed: Eigenvalues did not"):
+        pf.profile_random_ds(40, 3)
+    with pytest.raises(NumericalError, match="eigenvalue solver failed"):
+        pf.VarianceProfile.from_matrix(S)
+    assert S.tobytes() == before.tobytes()
 
 
 def test_random_ds_zero_roughness_is_flat():
