@@ -8,7 +8,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .profile import VarianceProfile, _whole, toeplitz_view
+from .profile import VarianceProfile, _real, _whole, toeplitz_view
 
 # rows of the strict upper triangle per sampler call in sample. A multiple of 4, so every
 # block but the last draws an even count and rademacher, two values per 64-bit word, leaves
@@ -84,7 +84,7 @@ def entry_from_config(cfg) -> EntryDistribution:
     if family == "two_point":
         if "p" not in cfg:
             raise ValueError("two_point requires a parameter p")
-        return two_point(float(cfg["p"]))
+        return two_point(_real(cfg["p"], "p"))
     if family in _FAMILIES:
         return _FAMILIES[family]()
     raise ValueError(f"unknown entry family {family!r}")

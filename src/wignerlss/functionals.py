@@ -31,9 +31,9 @@ class CltPrediction:
     """(variance, mean shift, cubic coefficient) and the centering int f d(rho_sc) for one
     (f, ensemble) pair.
 
-    With check_paths, integral_variance holds the integral-route value the series variance
-    was checked against. truncated is True when J stopped at J_CAP before the last decade
-    of coefficients was negligible. centering, integral_variance and truncated stay out of
+    integral_variance holds the integral-route value the series variance was checked
+    against, and paths_agree the outcome. truncated is True when J stopped at J_CAP before
+    the last decade of coefficients was negligible. centering and truncated stay out of
     to_dict.
     """
 
@@ -61,6 +61,7 @@ class CltPrediction:
             "J": self.J,
             "tail_estimate": self.tail_estimate,
             "paths_agree": self.paths_agree,
+            "V_integral": self.integral_variance,
         }
 
     def to_json(self) -> str:
@@ -262,7 +263,7 @@ def gbe_log_variance(z: complex, beta: int, part: str = "real") -> float:
 
 
 def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary, beta: int,
-                   J: int = 256, check_paths: bool = False) -> CltPrediction:
+                   J: int = 256) -> CltPrediction:
     """Assemble (V, E, B) and the centering from one coefficient table of f, on
     max(_CHEB_NODES, 2J) nodes; J doubles until the last decade of coefficients is negligible.
 
@@ -270,7 +271,8 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
     variance series, and its terms of the mean shift sum to at most _LAST_DECADE_FRACTION
     times max(1, sqrt V). The second is needed because V reads squared coefficients and E
     reads them linearly. J stops at J_CAP either way; the prediction's truncated then says
-    whether the test was still not met.
+    whether the test was still not met. V is checked against variance_integral on the same
+    table: paths_agree says whether the routes agree to max(1e-5 |V|, 1e-7).
 
     The centering int f d(rho_sc) is (t_0 - t_2)/2, as rho_sc(x) dx = (1 - cos 2 theta)
     d theta / pi at x = 2 cos(theta). A test function that is not finite at a node raises
@@ -286,10 +288,7 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
         if negligible or J >= J_CAP:
             break
         J *= 2
-    paths_agree = Vi = None
-    if check_paths:
-        Vi = variance_integral(f, t, profile, summary, beta)
-        paths_agree = bool(abs(V - Vi) <= max(1e-5 * abs(V), 1e-7))
+    Vi = variance_integral(f, t, profile, summary, beta)
     return CltPrediction(
         variance=V,
         mean_shift=mean_correction(t, profile, summary, beta),
@@ -298,7 +297,7 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
         centering=(_coeff(t.t, 0) - _coeff(t.t, 2)) / 2.0,
         J=t.J,
         tail_estimate=t.tail_estimate,
-        paths_agree=paths_agree,
+        paths_agree=bool(abs(V - Vi) <= max(1e-5 * abs(V), 1e-7)),
         integral_variance=Vi,
         truncated=not negligible,
     )

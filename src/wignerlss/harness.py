@@ -15,7 +15,7 @@ from . import ensemble as en
 from . import functionals as fl
 from . import spectral as sp
 from .errors import NumericalError
-from .profile import _whole
+from .profile import _real, _whole
 from .testfn import TestFunction
 
 _COLLISION_NUDGE = 1e-9
@@ -31,7 +31,7 @@ def lambda_window(N: int) -> float:
 
 def _maxfield_params(kappa: float, grid_size: int) -> tuple:
     """The max-field experiment's (kappa, grid size), range-checked."""
-    if not 0.0 < kappa < 1.0:
+    if not 0.0 < _real(kappa, "maxfield kappa") < 1.0:
         raise ValueError("maxfield kappa must be in (0, 1)")
     if _whole(grid_size, "maxfield grid") < 100:
         raise ValueError("maxfield grid must have >= 100 points")
@@ -67,13 +67,13 @@ class RunConfig:
         replicas, seed = _replicas_and_seed(self.replicas, self.master_seed, 2)
         object.__setattr__(self, "replicas", replicas)
         object.__setattr__(self, "master_seed", seed)
-        lam = np.asarray(self.lambda_grid, dtype=float)
-        if lam.size and not np.all(np.isfinite(lam)):
-            raise ValueError("lambda_grid must be finite")
-        object.__setattr__(self, "lambda_grid", tuple(float(v) for v in lam))
+        if not isinstance(self.lambda_grid, (list, tuple)):
+            raise ValueError(f"lambda_grid must be a list or tuple, got {self.lambda_grid!r}")
+        object.__setattr__(self, "lambda_grid", tuple(_real(v, "lambda_grid") for v in self.lambda_grid))
         if self.maxfield is not None:
             object.__setattr__(self, "maxfield", _maxfield_params(*self.maxfield))
         if self.rigidity is not None:   # an empty window fails here, before any draw
+            object.__setattr__(self, "rigidity", _real(self.rigidity, "rigidity"))
             sp.rigidity_window(self.spec.N, self.rigidity)
 
     def descriptor(self) -> dict:

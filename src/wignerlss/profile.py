@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -204,6 +205,8 @@ def profile_random_ds(N: int, seed: int, roughness: float = 0.5) -> VarianceProf
         raise ValueError("N must be >= 2")
     if not 0.0 <= roughness <= 1.0:
         raise ValueError("roughness must lie in [0, 1]")
+    if not 0 <= seed < 2 ** 64:   # a Philox key word
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     M = rng.standard_normal((N, N))
     _mirror_lower(M.T)   # M's upper triangle onto its lower one
@@ -278,6 +281,8 @@ def profile_to_csv(profile: VarianceProfile, path) -> None:
 
 
 def profile_from_csv(path) -> VarianceProfile:
+    if not isinstance(path, (str, os.PathLike)):   # np.loadtxt would read a list as CSV lines
+        raise ValueError(f"path must be a string, got {path!r}")
     S = np.loadtxt(path, delimiter=",", ndmin=2)
     if S.shape[0] == S.shape[1]:   # _checked rejects any other shape
         _symmetrize(S)
@@ -293,9 +298,20 @@ def _whole(value, key: str) -> int:
     return int(value)
 
 
+def _real(value, key: str) -> float:
+    """value as a float: a finite real number, and not a bool or a string."""
+    try:   # float() of an int past the float range, such as 10**400, overflows
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(float(value)):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{key} must be a finite real number, got {value!r}")
+
+
 def profile_from_descriptor(d: dict) -> VarianceProfile:
     """Rebuild a profile from its {type, N, params, seed} descriptor. N, params.W and seed
-    must be integers (an integral float such as 60.0 is accepted); ValueError otherwise."""
+    must be integers (an integral float such as 60.0 is accepted), seed in [0, 2**64),
+    params.roughness a finite real number and params.path a string; ValueError otherwise."""
     kind = d.get("type")
     params = d.get("params", {})
     if kind == "flat":
@@ -304,7 +320,7 @@ def profile_from_descriptor(d: dict) -> VarianceProfile:
         return profile_band(_whole(d["N"], "N"), _whole(params["W"], "W"))
     if kind == "random":
         return profile_random_ds(_whole(d["N"], "N"), _whole(d["seed"], "seed"),
-                                 float(params.get("roughness", 0.5)))
+                                 _real(params.get("roughness", 0.5), "roughness"))
     if kind == "csv":
         return profile_from_csv(params["path"])
     raise ValueError(f"unknown profile type {kind!r}")

@@ -200,17 +200,42 @@ def test_predict_warns_when_routes_disagree(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["predict", "simulate", "verify"])
 def test_series_stopped_at_the_cap_warns_once(tmp_path, capsys, command):
-    # the warning goes to stderr only: stdout and the output files keep their bytes
+    # the warnings go to stderr only: stdout and the output files keep their bytes. Every
+    # command checks both variance routes, which disagree for logre(0, 0.001), and says so
     out = {}
     for name, text in (("capped", CAPPED), ("x2", CAPPED.replace("logre(0,0.001)", "x2"))):
         cfg = write_config(tmp_path, text, f"{name}.yaml")
-        cli.main([command, "--config", cfg, "--out", str(tmp_path / name)])
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path / name)])
+        assert code == 0 or command == "verify"
         captured = capsys.readouterr()
         out[name] = json.loads(captured.out)
+        pred = out[name] if command == "predict" else out[name]["prediction"]
         warned = [line for line in captured.err.splitlines() if "stopped at J" in line]
         assert warned == ([CAP_WARNING] if name == "capped" else []), captured.err
+        disagree = [line for line in captured.err.splitlines() if "variance routes disagree" in line]
+        assert len(disagree) == (name == "capped") and pred["paths_agree"] is (name != "capped")
+        assert all(repr(pred["V_integral"]) in line for line in disagree), captured.err
     pred = out["capped"] if command == "predict" else out["capped"]["prediction"]
     assert pred["J"] == 2048 and "truncated" not in pred
+
+
+def test_every_command_prints_one_prediction(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: band, N: 60, params: {W: 5}}
+    testfn: gauss(0.3,0.7)
+    run: {replicas: 4}
+    """)
+    preds = []
+    for command, name in (("predict", "prediction.json"), ("simulate", "summary.json"),
+                          ("verify", "report.json")):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) in (0, 1)
+        capsys.readouterr()
+        blob = json.loads((out / name).read_text())
+        preds.append(blob if command == "predict" else blob["prediction"])
+    assert preds[0] == preds[1] == preds[2]
+    assert preds[0]["paths_agree"] is True and "V_integral" in preds[0]
 
 
 @pytest.mark.parametrize("N, testfn", [(50, "cheb(800)"), (50, "cheb(1500)"), (20, "logre(0,0.01)")])
@@ -626,6 +651,42 @@ def test_maxpoly_rejects_out_of_range_maxfield(tmp_path, capsys, maxfield):
     cfg = write_config(tmp_path, MAXPOLY.replace("{kappa: 0.3, grid: 400}", maxfield))
     assert cli.main(["maxpoly", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+REALS = """
+ensemble:
+  profile: {type: flat, N: 40}
+  diag: {family: two_point, p: 0.1}
+testfn: x2
+run:
+  replicas: 2
+  lambda_grid: [0, 0.5]
+  rigidity: 0.1
+  maxfield: {kappa: 0.3, grid: 400}
+"""
+
+
+@pytest.mark.parametrize("command, good, bad, key", [
+    ("simulate", "lambda_grid: [0, 0.5]", "lambda_grid: '12'", "lambda_grid"),
+    ("simulate", "lambda_grid: [0, 0.5]", "lambda_grid: [true, 0.5]", "lambda_grid"),
+    ("simulate", "rigidity: 0.1", "rigidity: '0.1'", "rigidity"),
+    ("simulate", "kappa: 0.3", "kappa: '0.3'", "kappa"),
+    ("maxpoly", "kappa: 0.3", "kappa: '0.3'", "kappa"),
+    ("simulate", "p: 0.1", "p: '0.1'", "p must be"),
+], ids=["lambda-text", "lambda-bool", "rigidity-text", "kappa-text", "maxpoly-kappa-text", "p-text"])
+def test_real_valued_keys_take_only_real_numbers(tmp_path, capsys, monkeypatch, command, good, bad, key):
+    # a string or a bool is not read as a number: "12" once ran as lambda = (1.0, 2.0)
+    cfg = write_config(tmp_path, REALS)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "good")]) == 0
+    capsys.readouterr()
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, k, **kw: draws.append(k))
+    cfg = write_config(tmp_path, REALS.replace(good, bad), "bad.yaml")
+    out = tmp_path / "bad"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and key in err, err
+    assert draws == [] and not out.exists()
 
 
 def test_maxpoly_rejects_zero_replicas(tmp_path, capsys):

@@ -64,6 +64,9 @@ def test_entry_from_config():
         en.entry_from_config({"family": "levy"})
     with pytest.raises(ValueError):
         en.entry_from_config({"family": "two_point"})
+    for bad in ("0.1", True, float("nan")):
+        with pytest.raises(ValueError, match="p must be a finite real number"):
+            en.entry_from_config({"family": "two_point", "p": bad})
 
 
 def test_cumulant_summary_gaussian_zero():

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -140,10 +141,10 @@ def test_pair_kernel_phi_matches_one_chunk_table(phi_profiles, M):
 def test_integral_route_holds_no_profile_sized_table():
     p = pf.profile_random_ds(1000, 1)
     s = make_summary(p)
-    fl.clt_prediction(FX2, p, s, 1, check_paths=True)
+    fl.clt_prediction(FX2, p, s, 1)
     tracemalloc.start()
     try:
-        pred = fl.clt_prediction(FX2, p, s, 1, check_paths=True)
+        pred = fl.clt_prediction(FX2, p, s, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,12 +347,15 @@ def test_prediction_positivity_guard():
 
 def test_prediction_json_keys():
     p = pf.profile_flat(20)
-    pred = fl.clt_prediction(FX2, p, make_summary(p), 1, check_paths=True)
+    pred = fl.clt_prediction(FX2, p, make_summary(p), 1)
     d = pred.to_dict()
-    assert set(d) == {"V", "E", "B", "beta", "J", "tail_estimate", "paths_agree"}
+    assert set(d) == {"V", "E", "B", "beta", "J", "tail_estimate", "paths_agree", "V_integral"}
     assert d["V"] == pytest.approx(4.0, abs=1e-9)
     assert d["E"] == pytest.approx(0.0, abs=1e-10)
     assert d["paths_agree"] is True
+    assert d["V_integral"] == pytest.approx(4.0, abs=1e-9)
+    # one mode: both routes run on every call, and there is no switch to skip one
+    assert list(inspect.signature(fl.clt_prediction).parameters) == ["f", "profile", "summary", "beta", "J"]
 
 
 def test_log_pair_kernel_symmetry_and_identity():

@@ -24,6 +24,21 @@ def small_config(N=10, R=2, beta=1, seed=42, **kw):
     return hn.RunConfig(spec=spec, f=F_X2, replicas=R, master_seed=seed, **kw)
 
 
+@pytest.mark.parametrize("kw, key", [
+    ({"lambda_grid": "12"}, "lambda_grid must be a list or tuple"),
+    ({"lambda_grid": [True, 0.5]}, "lambda_grid must be a finite real number"),
+    ({"lambda_grid": (0.5, np.inf)}, "lambda_grid must be a finite real number"),
+    ({"lambda_grid": [10 ** 400]}, "lambda_grid must be a finite real number"),
+    ({"rigidity": "0.1"}, "rigidity must be a finite real number"),
+    ({"maxfield": ("0.3", 400)}, "kappa must be a finite real number"),
+], ids=["lambda-text", "lambda-bool", "lambda-inf", "lambda-10**400", "rigidity-text", "kappa-text"])
+def test_real_valued_fields_take_only_real_numbers(kw, key):
+    with pytest.raises(ValueError, match=key):
+        small_config(N=40, **kw)
+    cfg = small_config(N=40, lambda_grid=[0, 1], rigidity=0.1, maxfield=(0.3, 400))
+    assert (cfg.lambda_grid, cfg.rigidity, cfg.maxfield) == ((0.0, 1.0), 0.1, (0.3, 400))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(R=1)

@@ -348,3 +348,18 @@ def test_descriptor_roundtrip():
 def test_descriptor_rejects_non_integral_sizes(d):
     with pytest.raises(ValueError, match="must be an integer"):
         pf.profile_from_descriptor(d)
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"type": "csv", "params": {"path": ["0.5,0.5", "0.5,0.5"]}}, "path must be a string"),
+    ({"type": "random", "N": 10, "seed": -1}, r"seed must lie in \[0, 2\*\*64\)"),
+    ({"type": "random", "N": 10, "seed": 2 ** 64}, r"seed must lie in \[0, 2\*\*64\)"),
+    ({"type": "random", "N": 10, "seed": 1, "params": {"roughness": "0.5"}}, "roughness must be"),
+], ids=["csv-path-list", "seed-negative", "seed-2**64", "roughness-text"])
+def test_descriptor_rejects_bad_path_seed_and_roughness(d, message):
+    # a list path once built a 2 x 2 profile from its items; a seed out of range raised
+    # OverflowError from the Philox key
+    with pytest.raises(ValueError, match=message):
+        pf.profile_from_descriptor(d)
+    top = {"type": "random", "N": 10, "seed": 2 ** 64 - 1, "params": {"roughness": 0.5}}
+    assert pf.profile_from_descriptor(top).descriptor["seed"] == 2 ** 64 - 1
