@@ -222,7 +222,7 @@ def cmd_predict(args) -> int:
     summary = en.cumulant_summary(spec)
     try:
         pred = fl.clt_prediction(f, spec.profile, summary, spec.beta)
-    except ValueError as exc:   # f is not finite at a quadrature node
+    except ValueError as exc:   # f is not finite at a quadrature node or a spectral edge
         raise ConfigError(f"bad testfn: {exc}") from exc
     _warn_prediction(pred, spec.profile)
     written = args.out is not None or "output" in cfg

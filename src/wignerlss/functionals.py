@@ -276,8 +276,12 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
 
     The centering int f d(rho_sc) is (t_0 - t_2)/2, as rho_sc(x) dx = (1 - cos 2 theta)
     d theta / pi at x = 2 cos(theta). A test function that is not finite at a node raises
-    ValueError.
+    ValueError, as does one not finite at a spectral edge x = +-2, where V diverges.
     """
+    for x in (-2.0, 2.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(f(np.array([x])))):
+                raise ValueError(f"test function is not finite at the spectral edge x = {x}")
     while True:
         t = cheb_coeffs(f, J=J, M=max(_CHEB_NODES, 2 * J))
         V, details = variance_series(t, profile, summary, beta, return_details=True)

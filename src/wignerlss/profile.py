@@ -57,15 +57,11 @@ class VarianceProfile:
 
     @classmethod
     def from_matrix(cls, S: np.ndarray, descriptor: Optional[dict] = None) -> "VarianceProfile":
-        """The profile of a caller's S, which is never written: S.copy() is solved in place."""
-        S = _checked(S)
-        N = S.shape[0]
-        return cls(
-            N=N,
-            S=S,
-            spectrum=sp._solve_in_place(S.copy())[::-1],
-            descriptor=descriptor or {"type": "matrix", "N": N, "params": {}, "seed": None},
-        )
+        """The profile of a caller's S, built by _owned_profile on a private C-order copy, so
+        the caller's S is never written and the profile does not alias it."""
+        S = np.array(S, dtype=float, order="C")
+        descriptor = descriptor or {"type": "matrix", "N": S.shape[0], "params": {}, "seed": None}
+        return _owned_profile(S, descriptor)
 
     @classmethod
     def from_circulant(cls, row: np.ndarray, descriptor: dict) -> "VarianceProfile":
@@ -148,8 +144,9 @@ def _symmetrize(S: np.ndarray) -> None:
 
 
 def _owned_profile(S: np.ndarray, descriptor: dict) -> VarianceProfile:
-    """from_matrix for a builder that owns S's buffer and hands it over: the spectrum is
-    solved in that buffer, with no N x N copy, and S comes back bit for bit."""
+    """The profile of an S whose buffer its caller owns and hands over (from_matrix's copy,
+    a builder's draw): the spectrum is solved in that buffer, with no N x N copy, and S
+    comes back bit for bit."""
     S = _checked(S)
     return VarianceProfile(N=S.shape[0], S=S, spectrum=_spectrum_in_place(S)[::-1],
                            descriptor=descriptor)
@@ -157,12 +154,12 @@ def _owned_profile(S: np.ndarray, descriptor: dict) -> VarianceProfile:
 
 def _spectrum_in_place(S: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the exactly symmetric, writeable S by sp._solve_in_place,
-    on the caller's BLAS threads, with S given back bit for bit.
+    with S given back bit for bit.
 
-    Its LAPACKE route is dsyevd in S's own buffer, eigvalsh's routine and threads on the
-    same column-major matrix, so the bytes are eigvalsh's. It destroys S's upper triangle
-    and diagonal; the strict lower triangle is mirrored back and the saved diagonal put
-    back, also when the solve raises NumericalError.
+    Its LAPACKE route is dsyevd in S's own buffer, eigvalsh's routine on the same
+    column-major matrix and one BLAS thread, so the bytes are eigvalsh's. It destroys S's
+    upper triangle and diagonal; the strict lower triangle is mirrored back and the saved
+    diagonal put back, also when the solve raises NumericalError.
     """
     diag = S.diagonal().copy()
     try:

@@ -154,8 +154,7 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
     no N x N copy, and its entries are destroyed: a float64 H by dsyevd, eigvalsh's routine,
     a complex128 H by zheevd_2stage. Any other H goes to eigvalsh's copy and is left as it
     was. Both routes read H's upper triangle, so an H that is Hermitian only to
-    check_hermitian's tolerance gets the same matrix on each. Either solve runs under
-    one_blas_thread, so the eigenvalues do not depend on the caller's BLAS thread count.
+    check_hermitian's tolerance gets the same matrix on each; both solve on one BLAS thread.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -165,31 +164,31 @@ def eigenvalues(H: np.ndarray, check_hermitian: bool = True) -> SpectralSample:
     trace, frob_sq = float(np.trace(H).real), _sum_sq(H)
     if not np.isfinite(frob_sq):
         raise NumericalError(f"non-finite matrix: ||H||_F^2 = {frob_sq!r}")
-    with one_blas_thread:
-        eigs = _solve_in_place(H)
-    return SpectralSample(eigs=eigs, trace=trace, frob_sq=frob_sq)
+    return SpectralSample(eigs=_solve_in_place(H), trace=trace, frob_sq=frob_sq)
 
 
 def _solve_in_place(H: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian H's upper triangle, on the caller's BLAS
-    threads: the package's one eigensolve, and the one place that picks its driver.
+    """Ascending eigenvalues of the Hermitian H's upper triangle: the package's one
+    eigensolve, and the one place that picks its driver and its BLAS threads.
 
     A C-contiguous, aligned, writeable H (flags.carray) of a dtype in _LAPACK, read at each
     call, goes to that LAPACKE driver on H's own buffer. LAPACK reads it column-major, as
     H^T = conj(H), with the same spectrum, and with uplo 'L' destroys only H's upper
     triangle and diagonal. For real H each step is the one np.linalg.eigvalsh runs on its
-    copy. Any other H goes to np.linalg.eigvalsh of H^T, which solves a copy. A failure on
-    either route raises NumericalError.
+    copy. Any other H goes to np.linalg.eigvalsh of H^T, which solves a copy. Both routes
+    run under one_blas_thread, so no caller's BLAS thread count changes the eigenvalues of
+    a replica, a profile build or from_matrix. A failure on either raises NumericalError.
     """
     solve = _LAPACK.get(H.dtype) if _LAPACK is not None and H.flags.carray else None
-    if solve is None:
-        try:
-            return np.linalg.eigvalsh(H.T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
-    n = H.shape[0]
-    eigs = np.empty(n)
-    info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)
+    with one_blas_thread:
+        if solve is None:
+            try:
+                return np.linalg.eigvalsh(H.T)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
+        n = H.shape[0]
+        eigs = np.empty(n)
+        info = solve(_COL_MAJOR, b"N", b"L", n, H.ctypes.data, max(n, 1), eigs.ctypes.data)
     if info != 0:
         raise NumericalError(f"eigenvalue solver failed: LAPACK info = {info}")
     return eigs

@@ -346,7 +346,8 @@ def run_fresh_python(script: str, **env_vars: Optional[str]) -> subprocess.Compl
 
 
 def test_spectral_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # N = 300 is large enough for OpenBLAS to split the solver's work across its threads
+    # N = 300 is large enough for OpenBLAS to split the solver's work across its threads;
+    # predict solves the N = 1000 random profile, whose build calls the eigensolve directly
     maxpoly = write_config(tmp_path, """
     ensemble:
       beta: 2
@@ -359,6 +360,12 @@ def test_spectral_outputs_do_not_depend_on_blas_threads(tmp_path):
     testfn: gauss(0.3,0.7)
     run: {replicas: 3, master_seed: 4}
     """, "simulate.yaml")
+    predict = write_config(tmp_path, """
+    ensemble:
+      profile: {type: random, N: 1000, seed: 1, params: {roughness: 0.5}}
+      diag: {family: two_point, p: 0.1}
+    testfn: x2
+    """, "predict.yaml")
     blobs = {}
     for blas in ("1", "2"):
         out = tmp_path / blas
@@ -366,13 +373,16 @@ def test_spectral_outputs_do_not_depend_on_blas_threads(tmp_path):
             from wignerlss import cli
             assert cli.main(["maxpoly", "--config", {maxpoly!r}, "--out", {str(out / "mp")!r}]) == 0
             assert cli.main(["simulate", "--config", {simulate!r}, "--out", {str(out / "sim")!r}]) == 0
+            assert cli.main(["predict", "--config", {predict!r}, "--out", {str(out / "pred")!r}]) == 0
         """)
         run = run_fresh_python(script, OPENBLAS_NUM_THREADS=blas)
         assert run.returncode == 0, run.stderr
         blobs[blas] = ((out / "mp" / "ratios.csv").read_bytes(),
-                       (out / "sim" / "samples.csv").read_bytes())
+                       (out / "sim" / "samples.csv").read_bytes(),
+                       (out / "pred" / "prediction.json").read_bytes())
     assert blobs["1"][0] == blobs["2"][0]
     assert blobs["1"][1] == blobs["2"][1]
+    assert blobs["1"][2] == blobs["2"][2]
 
 
 @pytest.mark.skipif(getattr(sp._OPENBLAS, "openblas_thread_timeout", None) is None,
@@ -760,6 +770,25 @@ def test_testfn_singular_at_a_node_is_config_error(tmp_path, capsys, monkeypatch
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2, command
         err = capsys.readouterr().err
         assert "config error:" in err and f"x_700 = {E!r}" in err, err
+        assert not out.exists() or not any(out.iterdir()), command
+    assert calls == []
+
+
+@pytest.mark.parametrize("edge", [2.0, -2.0])
+def test_testfn_infinite_at_a_spectral_edge_is_config_error(tmp_path, capsys, monkeypatch, edge):
+    # log|E - x| at E = +-2 has t_j ~ 1/j, so V = sum_j j t_j^2 tr S^j / 2 beta diverges; the
+    # series used to stop at J_CAP with a finite V far from V_integral and exit 0
+    calls = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, key: calls.append(key))
+    cfg = write_config(tmp_path, BASE.replace("N: 10", "N: 20")
+                       .replace("testfn: x2", f"testfn: logre({edge},0)")
+                       .replace("replicas: 2", "replicas: 4"))
+    for command in ("predict", "simulate", "verify"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        want = f"config error: bad testfn: test function is not finite at the spectral edge x = {edge}"
+        assert want in err, err
         assert not out.exists() or not any(out.iterdir()), command
     assert calls == []
 

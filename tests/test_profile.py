@@ -191,14 +191,16 @@ def test_checks_name_the_fault_in_any_strip(bad, message):
 @pytest.mark.parametrize("lapack", [True, False], ids=["lapacke", "eigvalsh"])
 @pytest.mark.parametrize("N", [2, 37, 129, 1000])
 def test_in_place_build_matches_from_matrix(monkeypatch, tmp_path, N, lapack):
-    # the build solves S in its own buffer and restores it; from_matrix solves a copy
+    # the build solves S in its own buffer and restores it; from_matrix runs that build on a copy
     if not lapack:
         monkeypatch.setattr(sp, "_LAPACK", None)
     elif sp._LAPACK is None:
         pytest.skip("numpy exports no LAPACKE eigenvalue drivers")
     p = pf.profile_random_ds(N, 4)
-    q = pf.VarianceProfile.from_matrix(p.S.copy())
-    assert p.S.tobytes() == q.S.tobytes()
+    given = p.S.copy()
+    q = pf.VarianceProfile.from_matrix(given)
+    assert not np.shares_memory(q.S, given)
+    assert given.tobytes() == p.S.tobytes() == q.S.tobytes()
     assert p.spectrum.tobytes() == q.spectrum.tobytes()
     path = tmp_path / "S.csv"
     pf.profile_to_csv(p, path)

@@ -186,6 +186,47 @@ def test_concurrent_blas_pins_hold_and_restore():
         set_(caller)
 
 
+@pytest.mark.skipif(sp._BLAS_THREADS is None, reason="numpy exports no OpenBLAS thread calls")
+@pytest.mark.parametrize("lapack", [True, False], ids=["lapacke", "eigvalsh"])
+def test_profile_builds_solve_on_one_blas_thread_and_restore_the_callers_count(monkeypatch, lapack):
+    # a profile build calls _solve_in_place without eigenvalues, so the pin must sit in the
+    # solve itself; the count is read inside the driver
+    get, set_ = sp._BLAS_THREADS
+    caller = get()
+    seen = []
+
+    def watched(real):
+        def solve(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+        return solve
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    if not lapack:
+        monkeypatch.setattr(sp, "_LAPACK", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", watched(np.linalg.eigvalsh))
+    elif sp._LAPACK is None:
+        pytest.skip("numpy exports no LAPACKE eigenvalue drivers")
+    else:
+        monkeypatch.setattr(sp, "_LAPACK", {k: watched(v) for k, v in sp._LAPACK.items()})
+    try:
+        set_(2)
+        pf.profile_random_ds(200, 1)
+        assert seen == [1]
+        assert get() == 2
+        if lapack:
+            monkeypatch.setattr(sp, "_LAPACK", {k: lambda *args: 1 for k in sp._LAPACK})
+        else:
+            monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NumericalError, match="eigenvalue solver failed"):
+            pf.profile_random_ds(200, 1)
+        assert get() == 2
+    finally:
+        set_(caller)
+
+
 def test_eigenvalues_leave_an_H_the_drivers_cannot_take_unchanged():
     # read-only, Fortran-order and strided H go to eigvalsh's copy and give the in-place
     # route's spectrum (to rounding at beta = 2); on the in-place route H is the workspace
