@@ -55,9 +55,11 @@ def two_point(p: float) -> EntryDistribution:
     """Standardized Bernoulli (B(p) - p)/sqrt(p(1-p)); nonzero skew for p != 1/2."""
     if not 0.0 < p < 1.0:
         raise ValueError("two_point requires p in (0, 1)")
-    q = np.sqrt(p * (1.0 - p))
+    q = float(np.sqrt(p * (1.0 - p)))   # Python floats overflow to inf without a warning
     k3 = (1.0 - 2.0 * p) / q
     k4 = (1.0 - 6.0 * p * (1.0 - p)) / (q * q)
+    if not (np.isfinite(k3) and np.isfinite(k4)):   # k4 ~ 1/p overflows for p below ~5e-309
+        raise ValueError(f"two_point p = {p!r} gives non-finite cumulants (k3 {k3}, k4 {k4})")
 
     def draw(rng, n, p=p, q=q):
         return ((rng.random(n) < p) - p) / q

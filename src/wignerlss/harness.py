@@ -29,8 +29,11 @@ def lambda_window(N: int) -> float:
     return _LAMBDA_WINDOW_CONST * N ** 0.4
 
 
-def _maxfield_params(kappa: float, grid_size: int) -> tuple:
-    """The max-field experiment's (kappa, grid size), range-checked."""
+def _maxfield_params(kappa: float, grid_size: int, N: int) -> tuple:
+    """The max-field experiment's (kappa, grid size), range-checked, for matrices of size N:
+    its ratios divide by log N, so N must be at least 2."""
+    if N < 2:
+        raise ValueError(f"maxfield needs N >= 2, got N = {N}: its ratios divide by log N")
     if not 0.0 < _real(kappa, "maxfield kappa") < 1.0:
         raise ValueError("maxfield kappa must be in (0, 1)")
     if _whole(grid_size, "maxfield grid") < 100:
@@ -71,7 +74,7 @@ class RunConfig:
             raise ValueError(f"lambda_grid must be a list or tuple, got {self.lambda_grid!r}")
         object.__setattr__(self, "lambda_grid", tuple(_real(v, "lambda_grid") for v in self.lambda_grid))
         if self.maxfield is not None:
-            object.__setattr__(self, "maxfield", _maxfield_params(*self.maxfield))
+            object.__setattr__(self, "maxfield", _maxfield_params(*self.maxfield, self.spec.N))
         if self.rigidity is not None:   # an empty window fails here, before any draw
             object.__setattr__(self, "rigidity", _real(self.rigidity, "rigidity"))
             sp.rigidity_window(self.spec.N, self.rigidity)
@@ -104,7 +107,7 @@ class RunResult:
     char_emp: np.ndarray
     kstats: Optional[CumulantEstimates]   # None when replicas < 4
     prediction: fl.CltPrediction
-    maxfield: Optional[dict] = None   # _max_columns's dict, as max_field_experiment returns
+    maxfield: Optional[dict] = None   # _max_block's dict, as max_field_experiment returns
     rigidity: Optional[dict] = None   # {"max": array, "min": array} over the replicas
 
     def to_dict(self) -> dict:
@@ -202,54 +205,66 @@ def _max_ratios(sample: sp.SpectralSample, kappa: float, grid_size: int, replica
     )
 
 
-def _max_columns(quads: list) -> dict:
-    """Per-replica _max_ratios quads as the re, im_plus and im_minus ratio arrays and one
-    collision tuple, in replica order: the max-field block of every output."""
-    re, im_plus, im_minus, collisions = zip(*quads)
-    return {"re_ratio": np.array(re), "im_plus_ratio": np.array(im_plus),
-            "im_minus_ratio": np.array(im_minus),
-            "collisions": tuple(c for cs in collisions for c in cs)}
+def _max_block(table: np.ndarray, collisions: tuple) -> dict:
+    """The max-field block of every output: the first three columns of table as the re,
+    im_plus and im_minus ratio arrays, and the grid collisions."""
+    names = ("re_ratio", "im_plus_ratio", "im_minus_ratio")
+    return {**dict(zip(names, table.T)), "collisions": collisions}
 
 
-def _map_replicas(spec: en.EnsembleSpec, master_seed: int, R: int,
-                  stat: Callable[[object, int], object], threads: int,
-                  progress: Optional[Callable[[int, int], None]], packed: bool = False) -> list:
-    """stat(H, r) of the drawn matrices H of replicas r = 0..R-1, returned in replica order;
-    with packed=True, stat(draw, r) of the packed draws (upper, diag) of en.sample instead.
+def _replica_table(spec: en.EnsembleSpec, master_seed: int, R: int, threads: int,
+                   progress: Optional[Callable[[int, int], None]], fs: tuple = (),
+                   maxfield: Optional[tuple] = None, rigidity: Optional[float] = None) -> tuple:
+    """(table, collisions): replica r's statistics in row r of an R x k float array, whose
+    columns are contiguous, and the grid collisions as (replica, E) pairs in replica order.
 
-    Replica r is drawn from the Philox stream keyed by (master_seed, r), so the results do
+    The columns: sp.lss of each (f, center) pair in fs; then, if maxfield = (kappa, grid
+    size), the three _max_ratios ratios; then, if rigidity = kappa, the rigidity max and min.
+    When every f is a polynomial of degree <= 2 and there is no maxfield or rigidity, each
+    statistic is spectral.trace_lss of the packed draw of en.sample, with no N x N buffer and
+    no eigensolve. Otherwise each of the `threads` workers draws all its replicas into one H
+    buffer of its own, which the eigensolve overwrites.
+
+    Replica r is drawn from the Philox stream keyed by (master_seed, r), so the table does
     not depend on the thread count. The first failing replica, in index order, raises
     NumericalError naming it and the seed; queued replicas are cancelled first.
-
-    Each of the `threads` workers draws every one of its replicas into one H buffer of its
-    own, so a run allocates at most `threads` matrices and does not page a fresh one in per
-    replica. stat may overwrite H, as spectral.eigenvalues does, since the next draw
-    overwrites every entry; it must not keep H, or any view of it, after it returns. A
-    packed draw is two new vectors and touches no N x N buffer.
     """
+    coeffs = [sp.quadratic_coeffs(f) for f, _ in fs]
+    packed = maxfield is None and rigidity is None and None not in coeffs
     local = threading.local()
 
     def one(r):
+        key = (master_seed, r)
         if packed:
-            return stat(en.sample(spec, (master_seed, r), packed=True), r)
-        local.H = en.sample(spec, (master_seed, r), out=getattr(local, "H", None))
-        return stat(local.H, r)
+            sums = sp.packed_trace_sums(*en.sample(spec, key, packed=True))
+            return [sp.trace_lss(spec.N, *sums, c, center) for c, (_, center) in zip(coeffs, fs)], []
+        local.H = en.sample(spec, key, out=getattr(local, "H", None))
+        s = sp.eigenvalues(local.H, check_hermitian=False)
+        row, collisions = [sp.lss(s, f, center) for f, center in fs], []
+        if maxfield is not None:
+            *ratios, collisions = _max_ratios(s, *maxfield, r)
+            row += ratios
+        if rigidity is not None:
+            row += sp.rigidity_stats(s, rigidity)
+        return row, collisions
 
     pool = ThreadPoolExecutor(max_workers=threads)
-    rows = []
+    rows, collisions = [], []
     try:
         futures = [pool.submit(one, r) for r in range(R)]
         for r, future in enumerate(futures):
             try:
-                rows.append(future.result())
+                row, hits = future.result()
             except Exception as exc:
                 raise NumericalError(
                     f"replica {r} failed (master_seed {master_seed}): {exc}") from exc
+            rows.append(row)
+            collisions += hits
             if progress is not None:
                 progress(r + 1, R)
     finally:
         pool.shutdown(cancel_futures=True)
-    return rows
+    return np.asfortranarray(np.array(rows, dtype=float).reshape(R, -1)), tuple(collisions)
 
 
 def run_ensemble(config: RunConfig, threads: int = 1,
@@ -260,47 +275,26 @@ def run_ensemble(config: RunConfig, threads: int = 1,
     centering, int f d(rho_sc) read from the same coefficients; a test function the
     prediction cannot expand therefore fails before any matrix is drawn. Per-replica RNG is
     derived from (master_seed, replica index) by counter, and results are collected in index
-    order, so the output is independent of thread count.
-
-    A polynomial of degree <= 2, in a run with no maxfield and no rigidity, takes each
-    statistic from tr H and ||H||_F^2 (spectral.trace_lss), read off the packed draw, and
-    skips both the N x N matrix and the eigensolve; every other run solves for the
-    spectrum of each replica.
+    order, so the output is independent of thread count. _replica_table picks the route.
     """
-    summary = en.cumulant_summary(config.spec)
-    prediction = fl.clt_prediction(config.f, config.spec.profile, summary, config.spec.beta)
-    center = prediction.centering
-    coeffs = sp.quadratic_coeffs(config.f)
-    packed = coeffs is not None and config.maxfield is None and config.rigidity is None
-    if packed:
-        N = config.spec.N
-
-        def stat(draw: tuple, r: int) -> dict:
-            return {"lss": sp.trace_lss(N, *sp.packed_trace_sums(*draw), coeffs, center)}
-    else:
-        def stat(H: np.ndarray, r: int) -> dict:
-            s = sp.eigenvalues(H, check_hermitian=False)
-            out = {"lss": sp.lss(s, config.f, center)}
-            if config.maxfield is not None:
-                out["max"] = _max_ratios(s, config.maxfield[0], config.maxfield[1], r)
-            if config.rigidity is not None:
-                out["rigidity"] = sp.rigidity_stats(s, config.rigidity)
-            return out
-
-    R = config.replicas
-    rows = _map_replicas(config.spec, config.master_seed, R, stat, threads, progress, packed)
-    lss_samples = np.array([row["lss"] for row in rows])
-    rigidity = None
+    spec = config.spec
+    prediction = fl.clt_prediction(config.f, spec.profile, en.cumulant_summary(spec), spec.beta)
+    table, collisions = _replica_table(
+        spec, config.master_seed, config.replicas, threads, progress,
+        ((config.f, prediction.centering),), config.maxfield, config.rigidity)
+    lss_samples, rest = table[:, 0], table[:, 1:]
+    maxfield = rigidity = None
+    if config.maxfield is not None:
+        maxfield, rest = _max_block(rest, collisions), rest[:, 3:]
     if config.rigidity is not None:
-        rig_max, rig_min = np.array([row["rigidity"] for row in rows]).T
-        rigidity = {"max": rig_max, "min": rig_min}
+        rigidity = dict(zip(("max", "min"), rest.T))
     return RunResult(
         config=config,
         lss_samples=lss_samples,
         char_emp=empirical_char(lss_samples, np.asarray(config.lambda_grid)),
-        kstats=cumulant_estimates(lss_samples) if R >= 4 else None,
+        kstats=cumulant_estimates(lss_samples) if config.replicas >= 4 else None,
         prediction=prediction,
-        maxfield=_max_columns([row["max"] for row in rows]) if config.maxfield else None,
+        maxfield=maxfield,
         rigidity=rigidity,
     )
 
@@ -353,14 +347,10 @@ def max_field_experiment(spec: en.EnsembleSpec, kappa: float, E_grid_size: int, 
                          master_seed: int = 0, threads: int = 1,
                          progress: Optional[Callable[[int, int], None]] = None) -> dict:
     """Distribution of sup Re L / (sqrt2 log N) and the two Im analogues over R replicas."""
-    kappa, E_grid_size = _maxfield_params(kappa, E_grid_size)
+    kappa, E_grid_size = _maxfield_params(kappa, E_grid_size, spec.N)
     R, master_seed = _replicas_and_seed(R, master_seed, 1)
-
-    def stat(H: np.ndarray, r: int):
-        s = sp.eigenvalues(H, check_hermitian=False)
-        return _max_ratios(s, kappa, E_grid_size, r)
-
-    return _max_columns(_map_replicas(spec, master_seed, R, stat, threads, progress))
+    return _max_block(*_replica_table(spec, master_seed, R, threads, progress,
+                                      maxfield=(kappa, E_grid_size)))
 
 
 def samples_to_csv(path, samples: np.ndarray) -> None:

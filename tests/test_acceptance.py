@@ -17,7 +17,6 @@ from wignerlss import functionals as fl
 from wignerlss import harness as hn
 from wignerlss import profile as pf
 from wignerlss import semicircle as sc
-from wignerlss import spectral as sp
 from wignerlss import testfn as tf
 
 F_X = tf.from_name("x")
@@ -87,19 +86,15 @@ def test_mean_shift_matches_monte_carlo_mean():
     # sampled side: replica mean of the centered statistic vs the predicted shift
     N, R = 300, 4000
     fs = [F_X2, tf.gauss_bump(0.3, 0.7)]
-    centers = [float(sc.integrate_rho_sc(f, nodes=2048).real) for f in fs]
-
-    def stat(H, r):
-        eig = sp.eigenvalues(H, check_hermitian=False)
-        return [sp.lss(eig, f, c) for f, c in zip(fs, centers)]
+    pairs = tuple((f, float(sc.integrate_rho_sc(f, nodes=2048).real)) for f in fs)
 
     for pidx, p in enumerate((pf.profile_flat(N), pf.profile_band(N, 12))):
         for beta in (1, 2):
             spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
             summ = en.cumulant_summary(spec)
-            vals = np.array(hn._map_replicas(spec, 500 + 10 * pidx + beta, R, stat, 2, None)).T
+            vals, _ = hn._replica_table(spec, 500 + 10 * pidx + beta, R, 2, None, fs=pairs)
             for i, f in enumerate(fs):
-                ks = hn.cumulant_estimates(vals[i])
+                ks = hn.cumulant_estimates(vals[:, i])
                 target = fl.mean_correction(tf.cheb_coeffs(f), p, summ, beta)
                 assert abs(ks.k1 - target) <= 4.0 * ks.se1, (pidx, beta, f.label, ks.k1, target, ks.se1)
 

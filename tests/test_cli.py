@@ -469,6 +469,21 @@ def test_csv_profile_faults_are_named(tmp_path, capsys, rows, message):
     assert f"config error: bad profile: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+def test_two_point_p_with_non_finite_cumulants_is_config_error_before_any_draw(
+        tmp_path, capsys, monkeypatch, command):
+    # k4 = (1 - 6q^2)/q^2, q^2 = p(1 - p), overflows below p ~ 5e-309: once an exit 0 printing
+    # "V": Infinity, which is not JSON
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, k, **kw: draws.append(k))
+    cfg = write_config(tmp_path, BASE.replace("diag: gaussian", "diag: {family: two_point, p: 1.0e-320}"))
+    out = tmp_path / "s"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: bad ensemble.diag: two_point p = 1e-320" in captured.err, captured.err
+    assert draws == [] and captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("profile, run, key", [
     ("{type: band, N: 60.7, params: {W: 4}}", "{replicas: 6}", "profile.N"),
     ("{type: flat, N: true}", "{replicas: 6}", "profile.N"),
@@ -661,6 +676,24 @@ def test_maxpoly_rejects_out_of_range_maxfield(tmp_path, capsys, maxfield):
     cfg = write_config(tmp_path, MAXPOLY.replace("{kappa: 0.3, grid: 400}", maxfield))
     assert cli.main(["maxpoly", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["maxpoly", "simulate"])
+def test_maxfield_on_a_1x1_profile_is_config_error_before_any_draw(tmp_path, capsys, monkeypatch,
+                                                                   command):
+    # the ratios divide by log N, which is 0 at N = 1: once an exit 0 with ratios of inf
+    path = tmp_path / "S.csv"
+    path.write_text("1.0\n")
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, k, **kw: draws.append(k))
+    cfg = write_config(tmp_path, MAXPOLY.replace("{type: flat, N: 40}",
+                                                 f"{{type: csv, params: {{path: '{path}'}}}}")
+                       + "testfn: x2\n")
+    out = tmp_path / "m"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: bad run section: maxfield needs N >= 2" in captured.err, captured.err
+    assert draws == [] and captured.out == "" and not out.exists()
 
 
 REALS = """

@@ -290,6 +290,32 @@ def test_trace_route_skips_the_eigensolve(monkeypatch):
         assert len(calls) == want, (cfg.f.label, cfg.maxfield, cfg.rigidity)
 
 
+@pytest.mark.parametrize("fs, kw, packed", [
+    ([F_X2], {}, True),
+    ([F_X2, tf.gauss_bump(0.3, 0.7)], {}, False),
+    ([F_X2], {"rigidity": 0.25}, False),
+    ([], {"maxfield": (0.2, 120)}, False),
+], ids=["x2", "x2-and-gauss", "x2-rigidity", "maxfield"])
+def test_replica_table_picks_the_route(monkeypatch, fs, kw, packed):
+    # the packed trace route only when every f is a polynomial of degree <= 2 and there is
+    # no maxfield or rigidity; any other mix solves every replica
+    real = en.sample
+    routes = []
+
+    def counted(spec, key, **kwargs):
+        routes.append(kwargs.get("packed", False))
+        return real(spec, key, **kwargs)
+
+    monkeypatch.setattr(hn.en, "sample", counted)
+    R = 4
+    spec = en.EnsembleSpec(1, pf.profile_flat(20), en.gaussian(), en.gaussian())
+    pairs = tuple((f, float(sc.integrate_rho_sc(f, nodes=2048).real)) for f in fs)
+    table, collisions = hn._replica_table(spec, 3, R, 2, None, fs=pairs, **kw)
+    assert routes == [packed] * R
+    assert table.shape == (R, len(fs) + 3 * ("maxfield" in kw) + 2 * ("rigidity" in kw))
+    assert np.all(np.isfinite(table)) and collisions == ()
+
+
 def test_trace_route_non_finite_draw_reports_replica(monkeypatch):
     # the trace route reads the packed draw (upper, diag); poison H_11 in replica 3
     real = en.sample
