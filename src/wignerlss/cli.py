@@ -15,7 +15,7 @@ from . import functionals as fl
 from . import harness as hn
 from . import profile as pf
 from . import testfn as tf
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _whole
 
 _QUICK_N = 200
 _QUICK_REPLICAS = 20
@@ -65,9 +65,9 @@ def load_config(path) -> dict:
 
 
 def _integer(value, key: str) -> int:
-    """value as an int by profile._whole's rule: no fractional part, and not a bool."""
+    """value as an int by errors._whole's rule: no fractional part, and not a bool."""
     try:
-        return pf._whole(value, key)
+        return _whole(value, key)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -104,8 +104,9 @@ def _profile_from_config(d, quick: bool) -> pf.VarianceProfile:
 
 
 def _entry_from_config(v, ctx: str) -> en.EntryDistribution:
-    if isinstance(v, dict):
-        _check_keys(v, _ENTRY_KEYS, ctx)
+    if isinstance(v, dict):   # only two_point takes p
+        _check_keys(v, _ENTRY_KEYS if v.get("family") == "two_point" else {"family"},
+                    f"{ctx} ({v.get('family')})")
     try:
         return en.entry_from_config(v)
     except (ValueError, TypeError) as exc:
@@ -175,13 +176,19 @@ def _run_config(cfg: dict, spec: en.EnsembleSpec, f: tf.TestFunction, args) -> h
 
 
 def _outdir(args, cfg: dict) -> Path:
+    """The output directory, --out over output.dir over ".", created now. Each command calls
+    this once its config is read and before its first prediction or draw, so a directory it
+    cannot use is a config error before any work."""
     out = args.out
     if out is None and "output" in cfg:
         section = _need_mapping(cfg["output"], "output")
         _check_keys(section, _OUTPUT_KEYS, "output")
         out = section.get("dir")
-    path = Path(out) if out is not None else Path(".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path = Path(out) if out is not None else Path(".")
+        path.mkdir(parents=True, exist_ok=True)
+    except (TypeError, OSError) as exc:
+        raise ConfigError(f"bad output directory {out!r}: {exc}") from exc
     return path
 
 
@@ -219,36 +226,37 @@ def cmd_predict(args) -> int:
     cfg = load_config(args.config)
     spec = _ensemble_from_config(_require(cfg, "ensemble"), args.quick)
     f = _testfn_from_config(_require(cfg, "testfn"))
+    path = _outdir(args, cfg) / "prediction.json" if args.out is not None or "output" in cfg else None
     summary = en.cumulant_summary(spec)
     try:
         pred = fl.clt_prediction(f, spec.profile, summary, spec.beta)
     except ValueError as exc:   # f is not finite at a quadrature node or a spectral edge
         raise ConfigError(f"bad testfn: {exc}") from exc
     _warn_prediction(pred, spec.profile)
-    written = args.out is not None or "output" in cfg
-    _emit(pred.to_dict(), _outdir(args, cfg) / "prediction.json" if written else None)
+    _emit(pred.to_dict(), path)
     return 0
 
 
 def _simulate(args, verify: bool = False):
+    """(output directory, run result) of simulate and verify."""
     cfg = load_config(args.config)
     spec = _ensemble_from_config(_require(cfg, "ensemble"), args.quick)
     f = _testfn_from_config(_require(cfg, "testfn"))
     rc = _run_config(cfg, spec, f, args)
     if verify and rc.replicas < 4:   # compare needs the k-statistics; checked before any draw
         raise ConfigError("verify needs run.replicas >= 4")
+    outdir = _outdir(args, cfg)
     _warn_lambda_window(rc)
     try:
         res = hn.run_ensemble(rc, threads=args.threads, progress=_progress)
     except ValueError as exc:   # from the prediction; a failing replica raises NumericalError
         raise ConfigError(f"bad testfn: {exc}") from exc
     _warn_prediction(res.prediction, spec.profile)
-    return cfg, res
+    return outdir, res
 
 
 def cmd_simulate(args) -> int:
-    cfg, res = _simulate(args)
-    outdir = _outdir(args, cfg)
+    outdir, res = _simulate(args)
     hn.samples_to_csv(outdir / "samples.csv", res.lss_samples)
     summary = res.to_dict()
     del summary["lss_samples"]
@@ -258,11 +266,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, res = _simulate(args, verify=True)
+    outdir, res = _simulate(args, verify=True)
     report = hn.compare(res)
     full = res.to_dict()
     report.update({k: full[k] for k in ("prediction", "maxfield", "rigidity") if k in full})
-    _emit(report, _outdir(args, cfg) / "report.json")
+    _emit(report, outdir / "report.json")
     return 0 if report["overall_pass"] else 1
 
 
@@ -274,14 +282,16 @@ def cmd_maxpoly(args) -> int:
         raise ConfigError("maxpoly needs a run.maxfield section")
     kappa, grid = _maxfield_from_config(d["maxfield"], args.quick)
     replicas, seed = _replicas_and_seed(d, args, default=20)
-    try:
-        out = hn.max_field_experiment(spec, kappa, grid, replicas, master_seed=seed,
-                                      threads=args.threads, progress=_progress)
-    except ValueError as exc:   # argument ranges; a failing replica raises NumericalError
+    try:   # the experiment's own range checks, run here so they come before the directory
+        kappa, grid = hn._maxfield_params(kappa, grid, spec.N)
+        replicas, seed = hn._replicas_and_seed(replicas, seed, 1)
+    except ValueError as exc:
         raise ConfigError(f"bad run section: {exc}") from exc
+    outdir = _outdir(args, cfg)
+    out = hn.max_field_experiment(spec, kappa, grid, replicas, master_seed=seed,
+                                  threads=args.threads, progress=_progress)
     for r, e in out["collisions"]:
         print(f"collision: replica {r} grid point {e!r} nudged by 1e-9", file=sys.stderr)
-    outdir = _outdir(args, cfg)
     rows = np.column_stack([out["re_ratio"], out["im_plus_ratio"], out["im_minus_ratio"]])
     np.savetxt(outdir / "ratios.csv", rows, delimiter=",", fmt="%.17g",
                header="re_ratio,im_plus_ratio,im_minus_ratio", comments="")
@@ -299,9 +309,9 @@ def cmd_maxpoly(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg = load_config(args.config)
-    p = _profile_from_config(_require(cfg, "profile"), args.quick)
-    checks = {k: float(v) for k, v in pf.validate(p).items()}
+    p = _profile_from_config(_require(cfg, "profile"), args.quick)   # the build is its check
     outdir = _outdir(args, cfg)
+    checks = {k: float(v) for k, v in pf.validate(p).items()}
     pf.profile_to_csv(p, outdir / "profile.csv")
     summary = {"descriptor": p.descriptor, "checks": checks, "matrix_csv": "profile.csv"}
     _emit(summary)

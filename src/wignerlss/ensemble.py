@@ -8,12 +8,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .profile import VarianceProfile, _real, _whole, toeplitz_view
+from .errors import _real, _whole
+from .profile import VarianceProfile, _mirror_lower, circulant_view, toeplitz_view
 
 # rows of the strict upper triangle per sampler call in sample. A multiple of 4, so every
 # block but the last draws an even count and rademacher, two values per 64-bit word, leaves
 # no half word between blocks even where a generator would drop it at the end of a call.
 _DRAW_ROWS = 64
+
+
+def _upper(N: int) -> np.ndarray:
+    """The N x N strict upper-triangle mask, a Toeplitz view of one (2N - 1)-vector."""
+    return toeplitz_view(np.arange(2 * N - 1) >= N)
 
 
 def _row_blocks(N: int):
@@ -118,29 +124,32 @@ class EnsembleSpec:
             "diag": self.diag.descriptor(),
         }
 
-    @functools.cached_property
-    def _sampling_scales(self) -> tuple:
-        """(strict upper-triangle mask, entry scale, diagonal scale), once per spec: the mask
-        is a Toeplitz view of one (2N - 1)-vector, and the entry scale, sqrt(S_ij) or for
-        beta = 2 sqrt(S_ij / 2), is profile.sqrt_scaled's."""
-        upper = toeplitz_view(np.arange(2 * self.N - 1) >= self.N)
-        scale = self.profile.sqrt_scaled(0.5 if self.beta == 2 else 1.0)
-        return upper, scale, np.sqrt(np.diag(self.profile.S))
-
-    @functools.cached_property
-    def _packed_scales(self) -> tuple:
-        """(entry scale, diagonal scale) of sample's packed form, once per spec: the entry
-        scale is one scalar for a constant profile row (flat), else the N(N - 1)/2 values of
-        _sampling_scales' scale on the strict upper triangle, in row-major order."""
+    def _scale(self, packed: bool):
+        """The entry scale sqrt(c S_ij), c = 1/2 at beta = 2 and 1 at beta = 1: one float for a
+        flat profile; else, packed, its N(N - 1)/2 values on the strict upper triangle in
+        row-major order, or for the matrix form a circulant view of sqrt(c row) for a
+        circulant S and one N x N array (8 N^2 bytes) for a dense one."""
         c = 0.5 if self.beta == 2 else 1.0
         row = self.profile.row
         if row is not None and np.all(row == row[0]):
-            scale = np.sqrt(c * row[0])
-        else:
-            scale = self.profile.S[toeplitz_view(np.arange(2 * self.N - 1) >= self.N)]
-            scale *= c
-            np.sqrt(scale, out=scale)
-        return scale, np.sqrt(np.diag(self.profile.S))
+            return float(np.sqrt(c * row[0]))
+        if row is not None and not packed:
+            return circulant_view(np.sqrt(c * row))
+        scale = self.profile.S[_upper(self.N)] if packed else self.profile.S.copy()
+        scale *= c
+        return np.sqrt(scale, out=scale)
+
+    @functools.cached_property
+    def _sampling_scales(self) -> tuple:
+        """(strict upper-triangle mask, entry scale, diagonal scale) of sample's matrix form,
+        once per spec."""
+        return _upper(self.N), self._scale(packed=False), np.sqrt(np.diag(self.profile.S))
+
+    @functools.cached_property
+    def _packed_scales(self) -> tuple:
+        """(entry scale, diagonal scale) of sample's packed form, once per spec; it builds no
+        N x N array."""
+        return self._scale(packed=True), np.sqrt(np.diag(self.profile.S))
 
 
 @dataclass(frozen=True)
@@ -185,10 +194,14 @@ def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None, *,
     order and H's diagonal, byte for byte the values the same draw writes into H, with no
     N x N array and no mirror; out must then be None.
 
-    Each real part is drawn in blocks of _DRAW_ROWS rows of the strict upper triangle, one
-    sampler call each, with the bytes of one whole-triangle call (the beta = 1 packed form,
-    whose drawn vector is upper, makes that one call). Each block is freed before the next
-    is drawn, so beside H or upper one block's draw, 8 * _DRAW_ROWS * N bytes, is live.
+    Each real part (Re H, then Im H at beta = 2) is drawn by one loop over blocks of
+    _DRAW_ROWS rows of the strict upper triangle, one sampler call each, with the bytes of
+    one whole-triangle call. The packed form scales each block into its span of upper; the
+    matrix form writes it unscaled through the strict upper-triangle mask, scales the whole
+    part in place after the loop, and mirrors the conjugate of the upper triangle onto the
+    lower one once at the end, with profile._mirror_lower's tiles. Each block is freed
+    before the next is drawn, so beside H or upper one block's draw, 8 * _DRAW_ROWS * N
+    bytes, is live.
     """
     rng = replica_rng(*key)
     N = spec.N
@@ -196,41 +209,27 @@ def sample(spec: EnsembleSpec, key: tuple, out: Optional[np.ndarray] = None, *,
     if packed:
         if out is not None:
             raise ValueError("the packed form takes no out")
-        n = N * (N - 1) // 2
         scale, diag_scale = spec._packed_scales
-        if spec.beta == 1:   # the drawn vector, scaled in place, is the upper triangle
-            upper = spec.offdiag.sampler(rng, n)
-            upper *= scale
-        else:                # each real part is drawn and scaled by row blocks
-            upper = np.empty(n, dtype=dtype)
-            for part in (upper.real, upper.imag):
-                for _, _, a, b in _row_blocks(N):
-                    np.multiply(spec.offdiag.sampler(rng, b - a),
-                                scale[a:b] if np.ndim(scale) else scale, out=part[a:b])
-        d = spec.diag.sampler(rng, N)
-        return upper, (diag_scale * d).astype(dtype, copy=False)
-    if out is None:
-        H = np.empty((N, N), dtype=dtype)
-    elif out.shape != (N, N) or out.dtype != dtype:
-        raise ValueError(f"out must be an ({N}, {N}) {np.dtype(dtype).name} array, "
-                         f"got {out.shape} {out.dtype}")
+        H = np.empty(N * (N - 1) // 2, dtype=dtype)   # H's strict upper triangle, row by row
     else:
-        H = out
-    upper, scale, diag_scale = spec._sampling_scales
-    # the real parts, then for beta=2 the imaginary parts, each drawn by row blocks, written
-    # unscaled to the block's upper triangle, mirrored (negated for Im H) onto the lower one,
-    # then multiplied in place by the scale, diagonal included (it is overwritten last), so
-    # each entry is the one product xi * scale.
-    parts = (H,) if spec.beta == 1 else (H.real, H.imag)
-    for k, part in enumerate(parts):
+        if out is not None and (out.shape != (N, N) or out.dtype != dtype):
+            raise ValueError(f"out must be an ({N}, {N}) {np.dtype(dtype).name} array, "
+                             f"got {out.shape} {out.dtype}")
+        mask, scale, diag_scale = spec._sampling_scales
+        H = np.empty((N, N), dtype=dtype) if out is None else out
+    for part in (H,) if spec.beta == 1 else (H.real, H.imag):
         for lo, hi, a, b in _row_blocks(N):
             xi = spec.offdiag.sampler(rng, b - a)
-            part[lo:hi][upper[lo:hi]] = xi
-            if k == 1:
-                np.negative(xi, out=xi)
-            part.T[lo:hi][upper[lo:hi]] = xi
+            if packed:
+                np.multiply(xi, scale[a:b] if np.ndim(scale) else scale, out=part[a:b])
+            else:
+                part[lo:hi][mask[lo:hi]] = xi
             del xi   # so that the next block's draw is the only live vector
-        part *= scale
+        if not packed:
+            part *= scale   # diagonal and lower triangle included; both are overwritten below
     d = spec.diag.sampler(rng, N)
+    if packed:
+        return H, (diag_scale * d).astype(dtype, copy=False)
+    _mirror_lower(H.T)   # the conjugate of the upper triangle onto the lower one
     H[np.arange(N), np.arange(N)] = diag_scale * d
     return H

@@ -14,8 +14,7 @@ import numpy as np
 from . import ensemble as en
 from . import functionals as fl
 from . import spectral as sp
-from .errors import NumericalError
-from .profile import _real, _whole
+from .errors import NumericalError, _real, _whole
 from .testfn import TestFunction
 
 _COLLISION_NUDGE = 1e-9

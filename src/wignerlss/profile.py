@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -10,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectral as sp
-from .errors import NumericalError
+from .errors import NumericalError, _real, _whole
 
 _ROW_SUM_TOL = 1e-10        # construction-time Perron check
 _BAND_BLEND = 1e-3          # flat blend restoring strict positivity of band profiles
@@ -47,14 +46,6 @@ class VarianceProfile:
     def trace(self) -> float:
         return float(np.trace(self.S))
 
-    def sqrt_scaled(self, c: float) -> np.ndarray:
-        """sqrt(c S), the sampling scale and the one reader of row: a circulant view of
-        sqrt(c row) for a circulant S, else one new N x N array (8 N^2 bytes)."""
-        if self.row is not None:
-            return circulant_view(np.sqrt(c * self.row))
-        scale = c * self.S
-        return np.sqrt(scale, out=scale)
-
     @classmethod
     def from_matrix(cls, S: np.ndarray, descriptor: Optional[dict] = None) -> "VarianceProfile":
         """The profile of a caller's S, built by _owned_profile on a private C-order copy, so
@@ -74,8 +65,8 @@ class VarianceProfile:
         largest and a_spectrum sets exactly that term to 0.
 
         S is circulant_view(row), a read-only strided view of one (2N - 1)-vector, so the
-        profile holds O(N) doubles, not N^2; the profile keeps row, from which sqrt_scaled
-        builds the entry scales.
+        profile holds O(N) doubles, not N^2; the profile keeps row, from which
+        ensemble.EnsembleSpec builds the entry scales.
         """
         row = np.array(row, dtype=float)
         row.setflags(write=False)
@@ -117,15 +108,17 @@ def _checked(S) -> np.ndarray:
 
 
 def _mirror_lower(S: np.ndarray) -> None:
-    """Copy S's strict lower triangle onto its upper one in place, one _TILE-row strip at a
-    time, so no N x N temporary is made."""
+    """Copy the conjugate of S's strict lower triangle onto its upper one in place, one
+    _TILE x _TILE tile at a time, so no temporary is larger than a tile. For a real S,
+    .conj() is S itself and this is a plain copy."""
     N = S.shape[0]
     upper = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
     for lo in range(0, N, _TILE):
         hi = min(lo + _TILE, N)
         tile = S[lo:hi, lo:hi]
-        np.copyto(tile, tile.T, where=upper[:hi - lo, :hi - lo])  # copies the overlapping tile.T first
-        S[lo:hi, hi:] = S[hi:, lo:hi].T
+        np.copyto(tile, tile.T.conj(), where=upper[:hi - lo, :hi - lo])  # copies the overlapping tile.T first
+        for c in range(hi, N, _TILE):
+            S[lo:hi, c:c + _TILE] = S[c:c + _TILE, lo:hi].T.conj()
 
 
 def _symmetrize(S: np.ndarray) -> None:
@@ -286,23 +279,6 @@ def profile_from_csv(path) -> VarianceProfile:
     return _owned_profile(
         S, {"type": "csv", "N": S.shape[0], "params": {"path": str(path)}, "seed": None}
     )
-
-
-def _whole(value, key: str) -> int:
-    """value as an int: a real number with no fractional part, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, key: str) -> float:
-    """value as a float: a finite real number, and not a bool or a string."""
-    try:   # float() of an int past the float range, such as 10**400, overflows
-        if isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(float(value)):
-            return float(value)
-    except OverflowError:
-        pass
-    raise ValueError(f"{key} must be a finite real number, got {value!r}")
 
 
 def profile_from_descriptor(d: dict) -> VarianceProfile:

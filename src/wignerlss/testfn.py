@@ -10,6 +10,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _npcheb
 from numpy.polynomial import polynomial as _nppoly
 
+from .errors import _real
 from .semicircle import dct2, gauss_cheb_nodes, msc
 
 _FD_STEP = 1e-5  # central-difference step for black-box derivatives
@@ -126,9 +127,10 @@ _BUILTIN_CTORS = {"cheb": cheb_t_fn, "gauss": gauss_bump, "logre": log_real, "lo
 
 def from_name(spec) -> TestFunction:
     """Builtins: "x", "x2", "cheb(n)" (T_n, n a non-negative integer), "gauss(center,width)",
-    "logre(E,eta)", "logim(E,eta)"; or a coefficient list."""
+    "logre(E,eta)", "logim(E,eta)"; or a coefficient list, each entry a finite real number
+    by errors._real, named by its index (testfn[i])."""
     if isinstance(spec, (list, tuple)):
-        return polynomial(spec)
+        return polynomial([_real(v, f"testfn[{i}]") for i, v in enumerate(spec)])
     s = str(spec).strip()
     if s == "x":
         return polynomial((0.0, 1.0), label="x")

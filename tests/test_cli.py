@@ -299,6 +299,52 @@ def test_non_finite_testfn_arguments_are_config_errors_before_any_draw(tmp_path,
     assert draws == [] and not (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("bad, key", [("[0.5, true]", "testfn[1]"), ("['0.5', 1]", "testfn[0]"),
+                                      ("[1, .inf]", "testfn[1]")], ids=["bool", "text", "inf"])
+@pytest.mark.parametrize("command", ["predict", "simulate"])
+def test_testfn_coefficients_take_only_finite_real_numbers(tmp_path, capsys, monkeypatch,
+                                                           command, bad, key):
+    # a coefficient list once ran "0.5" and true as numbers and blamed inf on the spectral edge
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, k, **kw: draws.append(k))
+    cfg = write_config(tmp_path, BASE.replace("testfn: x2", f"testfn: {bad}"))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: bad testfn: {key} must be a finite real number" in err, err
+    assert draws == []
+
+
+@pytest.mark.parametrize("family", ["gaussian", "rademacher", "uniform"])
+def test_p_is_a_key_of_two_point_only(tmp_path, capsys, family):
+    cfg = write_config(tmp_path, BASE.replace("offdiag: {family: gaussian}",
+                                              f"offdiag: {{family: {family}, p: 0.9}}"))
+    assert cli.main(["predict", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: unknown keys in ensemble.offdiag ({family}): 'p'" in err, err
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "verify", "maxpoly", "profile"])
+@pytest.mark.parametrize("where", ["out-is-a-file", "dir-is-a-list"])
+def test_unusable_output_directory_is_config_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                   command, where):
+    # simulate --out naming a file once ran every replica and then exited 1 with a
+    # FileExistsError traceback; output: {dir: [a]} did the same with a TypeError
+    draws = []
+    monkeypatch.setattr(hn.en, "sample", lambda spec, k, **kw: draws.append(k))
+    text = MAXPOLY.replace("replicas: 3", "replicas: 4") + "testfn: x2\nprofile: {type: flat, N: 10}\n"
+    flags = []
+    if where == "out-is-a-file":
+        (tmp_path / "taken").write_text("")
+        flags = ["--out", str(tmp_path / "taken")]
+    else:
+        text += "output: {dir: [a]}\n"
+    cfg = write_config(tmp_path, text)
+    assert cli.main([command, "--config", cfg] + flags) == 2
+    captured = capsys.readouterr()
+    assert "config error: bad output directory" in captured.err, captured.err
+    assert draws == [] and captured.out == ""
+
+
 def test_commands_run_without_scipy(tmp_path):
     # a fresh interpreter: other tests import SciPy into this one
     cfg = write_config(tmp_path, BASE.replace("testfn: x2", "testfn: gauss(0.3,0.7)"))

@@ -216,6 +216,23 @@ def test_dense_sampling_scales_hold_one_matrix():
         assert scales_peak(spec) <= 1.05 * 8 * N * N   # one N x N scale, sqrt taken in place
 
 
+def test_packed_sample_builds_no_dense_scale():
+    # the packed scales are the N(N - 1)/2 values of the strict upper triangle; a draft that
+    # built the matrix form's N x N scale here peaked at 2.1 and 2.6 x 8N^2
+    N = 600
+    p = pf.profile_random_ds(N, 1)
+    for beta, bound in ((1, 1.2), (2, 1.7)):   # 1.0 and 1.6 before the draw had one loop
+        spec = en.EnsembleSpec(beta, p, en.gaussian(), en.gaussian())
+        tracemalloc.start()
+        try:
+            en.sample(spec, (1, 0), packed=True)
+            en.sample(spec, (1, 1), packed=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * N * N, (beta, peak / (8 * N * N))
+
+
 def test_sample_moments():
     p = pf.profile_flat(6)
     spec1 = en.EnsembleSpec(1, p, en.gaussian(), en.gaussian())

@@ -158,6 +158,10 @@ def test_tiled_symmetrize_and_mirror_match_the_whole_matrix(N):
     S = A.copy()
     pf._mirror_lower(S.T)   # as profile_random_ds mirrors its draw: upper onto lower
     assert S.tobytes() == (np.triu(A) + np.triu(A, 1).T).tobytes()
+    Z = A + 1j * np.random.default_rng(N + 1).standard_normal((N, N))
+    H = Z.copy()
+    pf._mirror_lower(H.T)   # as ensemble.sample mirrors a beta = 2 draw: Hermitian
+    assert H.tobytes() == (np.triu(Z) + np.triu(Z, 1).T.conj()).tobytes()
 
 
 @pytest.mark.parametrize("build, args, bound", [
