@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,8 @@ _ENTRY_KEYS = {"family", "p"}
 _RUN_KEYS = {"replicas", "master_seed", "lambda_grid", "maxfield", "rigidity"}
 _MAXFIELD_KEYS = {"kappa", "grid"}
 _OUTPUT_KEYS = {"dir"}
+# YAML 1.2's float with an exponent; PyYAML's YAML 1.1 rule reads 1e-1 and 2e1 as strings
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
 
 
 def _need_mapping(obj, ctx: str) -> dict:
@@ -54,7 +57,11 @@ def load_config(path) -> dict:
     else:
         import yaml  # only here: a JSON config never pays for PyYAML's import
 
-        parse, parse_error = yaml.safe_load, yaml.YAMLError
+        class Loader(yaml.SafeLoader):
+            pass
+
+        Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
+        parse, parse_error = lambda text: yaml.load(text, Loader=Loader), yaml.YAMLError
     try:
         cfg = parse(text)
     except parse_error as exc:

@@ -98,9 +98,10 @@ def entry_from_config(cfg) -> EntryDistribution:
     raise ValueError(f"unknown entry family {family!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EnsembleSpec:
-    """Symmetry class, variance profile, and entry laws for off-diagonal and diagonal entries."""
+    """Symmetry class, variance profile, and entry laws for off-diagonal and diagonal entries;
+    its fields cannot be reassigned once checked, as the cached scales are built from them."""
 
     beta: int
     profile: VarianceProfile
@@ -108,7 +109,7 @@ class EnsembleSpec:
     diag: EntryDistribution
 
     def __post_init__(self):
-        self.beta = _whole(self.beta, "beta")
+        object.__setattr__(self, "beta", _whole(self.beta, "beta"))
         if self.beta not in (1, 2):
             raise ValueError("beta must be 1 (real symmetric) or 2 (complex Hermitian)")
 

@@ -80,29 +80,43 @@ def _correction_terms(t1: float, t2: float, trS: float, summary: CumulantSummary
     )
 
 
+def _variance_terms(t: ChebCoeffs, tp: np.ndarray) -> np.ndarray:
+    """j t_j^2 tr S^j for j = 1..J, on a trace_powers table tp to at least J."""
+    return np.arange(1, t.J + 1) * t.t[1:] ** 2 * tp[:t.J]
+
+
+def _variance(t: ChebCoeffs, tp: np.ndarray, summary: CumulantSummary, beta: int) -> float:
+    """variance_series's V on a trace_powers table tp to at least J."""
+    core = float(np.sum(_variance_terms(t, tp)))
+    t1, t2 = _coeff(t.t, 1), _coeff(t.t, 2)
+    return float(core / (2.0 * beta) + _correction_terms(t1, t2, tp[0], summary, beta))
+
+
 def variance_series(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSummary,
-                    beta: int, return_details: bool = False):
+                    beta: int) -> float:
     """V = (1/2 beta) sum_j j t_j^2 tr S^j plus the finite-rank cumulant corrections."""
-    coeffs = t.t
-    J = len(coeffs) - 1
-    tp = trace_powers(profile, max(J, 1))
-    js = np.arange(1, J + 1)
-    contrib = js * coeffs[1:] ** 2 * tp[:J]
-    core = float(np.sum(contrib))
-    trS = tp[0]
-    V = core / (2.0 * beta) + _correction_terms(_coeff(coeffs, 1), _coeff(coeffs, 2), trS, summary, beta)
-    trunc_bound = t.tail_estimate * float(np.max(tp)) / (2.0 * beta)
-    cut = max(1, int(0.9 * J))
-    last_decade = float(np.sum(contrib[cut - 1:]))
-    details = {
-        "value": float(V),
-        "truncation_bound": float(trunc_bound),
-        "tail_warning": bool(trunc_bound > 0.1 * abs(V) + 1e-300),
-        "last_decade_fraction": float(last_decade / core) if core > 0 else 0.0,
-    }
-    if return_details:
-        return float(V), details
-    return float(V)
+    return _variance(t, trace_powers(profile, max(t.J, 1)), summary, beta)
+
+
+def _negligible(t: ChebCoeffs, tp: np.ndarray, beta: int, V: float) -> bool:
+    """Whether the last decade of coefficients, t_n for n from 0.9 J to J, is negligible, on the
+    trace_powers table tp to J that gave the variance series V.
+
+    Both halves must hold: the last decade carries at most _LAST_DECADE_FRACTION of the
+    variance series, and at beta = 1 its terms of mean_correction's profile sum add up in
+    absolute value to at most _LAST_DECADE_FRACTION times max(1, sqrt V). The second is
+    needed because V reads squared coefficients and E reads them linearly.
+    """
+    terms = _variance_terms(t, tp)
+    core = float(np.sum(terms))
+    last_decade = float(np.sum(terms[max(1, int(0.9 * t.J)) - 1:]))
+    if core > 0 and not last_decade / core <= _LAST_DECADE_FRACTION:
+        return False
+    if beta != 1:   # E reads only t_3 and t_4
+        return True
+    K = t.J // 2   # the profile sum's terms are tr S^k t_2k, k = 2..K
+    mean_terms = np.abs(tp[1:K] * t.t[4:2 * K + 1:2])[np.arange(4, 2 * K + 1, 2) >= 0.9 * t.J]
+    return bool(0.5 * float(np.sum(mean_terms)) <= _LAST_DECADE_FRACTION * max(1.0, np.sqrt(max(V, 0.0))))
 
 
 def integral_nodes(profile: VarianceProfile, J: int) -> int:
@@ -187,26 +201,9 @@ def mean_correction(t: ChebCoeffs, profile: VarianceProfile, summary: CumulantSu
     """
     total = 0.5 * (summary.kappa4_sum * _coeff(t.t, 4) + summary.kappa3_diag_sum * _coeff(t.t, 3))
     if beta == 1:
-        total += 0.5 * float(np.dot(*_profile_sum_factors(t, profile)))
+        K = t.J // 2
+        total += 0.5 * float(np.dot(trace_powers(profile, max(K, 1))[1:K], t.t[4:2 * K + 1:2]))
     return float(total)
-
-
-def _profile_sum_factors(t: ChebCoeffs, profile: VarianceProfile) -> tuple:
-    """(tr S^k, t_{2k}) for k = 2..J/2, the factors of mean_correction's beta = 1 profile sum."""
-    K = t.J // 2
-    if K < 2:
-        return np.zeros(0), np.zeros(0)
-    return trace_powers(profile, K)[1:], t.t[4:2 * K + 1:2]
-
-
-def _mean_last_decade(t: ChebCoeffs, profile: VarianceProfile, beta: int) -> float:
-    """Sum of the |terms| of mean_correction's profile sum whose t_n has n in the last decade
-    of 0..J; 0 at beta = 2, where E reads only t_3 and t_4."""
-    if beta != 1:
-        return 0.0
-    trS, t2k = _profile_sum_factors(t, profile)
-    n = 2 * np.arange(2, t2k.size + 2)
-    return 0.5 * float(np.sum(np.abs(trS * t2k)[n >= 0.9 * t.J]))
 
 
 def cubic_term(t: ChebCoeffs, summary: CumulantSummary) -> float:
@@ -265,14 +262,10 @@ def gbe_log_variance(z: complex, beta: int, part: str = "real") -> float:
 def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantSummary, beta: int,
                    J: int = 256) -> CltPrediction:
     """Assemble (V, E, B) and the centering from one coefficient table of f, on
-    max(_CHEB_NODES, 2J) nodes; J doubles until the last decade of coefficients is negligible.
-
-    Negligible means two things: the last decade carries at most _LAST_DECADE_FRACTION of the
-    variance series, and its terms of the mean shift sum to at most _LAST_DECADE_FRACTION
-    times max(1, sqrt V). The second is needed because V reads squared coefficients and E
-    reads them linearly. J stops at J_CAP either way; the prediction's truncated then says
-    whether the test was still not met. V is checked against variance_integral on the same
-    table: paths_agree says whether the routes agree to max(1e-5 |V|, 1e-7).
+    max(_CHEB_NODES, 2J) nodes; J doubles until _negligible holds on that round's table of
+    tr S^j, or until J_CAP, where the prediction's truncated says whether it still did not
+    hold. V is checked against variance_integral on the same table: paths_agree says whether
+    the routes agree to max(1e-5 |V|, 1e-7).
 
     The centering int f d(rho_sc) is (t_0 - t_2)/2, as rho_sc(x) dx = (1 - cos 2 theta)
     d theta / pi at x = 2 cos(theta). A test function that is not finite at a node raises
@@ -284,11 +277,9 @@ def clt_prediction(f: TestFunction, profile: VarianceProfile, summary: CumulantS
                 raise ValueError(f"test function is not finite at the spectral edge x = {x}")
     while True:
         t = cheb_coeffs(f, J=J, M=max(_CHEB_NODES, 2 * J))
-        V, details = variance_series(t, profile, summary, beta, return_details=True)
-        negligible = (
-            details["last_decade_fraction"] <= _LAST_DECADE_FRACTION
-            and _mean_last_decade(t, profile, beta)
-            <= _LAST_DECADE_FRACTION * max(1.0, np.sqrt(max(V, 0.0))))
+        tp = trace_powers(profile, max(J, 1))
+        V = _variance(t, tp, summary, beta)
+        negligible = _negligible(t, tp, beta, V)
         if negligible or J >= J_CAP:
             break
         J *= 2

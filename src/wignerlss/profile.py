@@ -19,9 +19,10 @@ _RESOLVENT_GUARD = 1e-10
 _TILE = 64                  # rows and columns per tile of the in-place symmetrize and mirror
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class VarianceProfile:
-    """S = E|H_ij|^2 with its spectral data; immutable after construction.
+    """S = E|H_ij|^2 with its spectral data; immutable after construction: its fields cannot
+    be reassigned, and S is a read-only array.
 
     a_spectrum is derived from spectrum, not from a second eigensolve: S is doubly
     stochastic, so its Perron eigenvector is e/sqrt(N), and A = S - ee*/N keeps every other
@@ -36,7 +37,7 @@ class VarianceProfile:
     a_spectrum: np.ndarray = field(init=False)  # of A = S - ee*/N: spectrum with 1 -> 0
 
     def __post_init__(self):
-        self.a_spectrum = np.sort(np.append(self.spectrum[1:], 0.0))[::-1]
+        object.__setattr__(self, "a_spectrum", np.sort(np.append(self.spectrum[1:], 0.0))[::-1])
 
     @property
     def gap(self) -> float:
@@ -139,10 +140,11 @@ def _symmetrize(S: np.ndarray) -> None:
 def _owned_profile(S: np.ndarray, descriptor: dict) -> VarianceProfile:
     """The profile of an S whose buffer its caller owns and hands over (from_matrix's copy,
     a builder's draw): the spectrum is solved in that buffer, with no N x N copy, and S
-    comes back bit for bit."""
+    comes back bit for bit and is then made read-only."""
     S = _checked(S)
-    return VarianceProfile(N=S.shape[0], S=S, spectrum=_spectrum_in_place(S)[::-1],
-                           descriptor=descriptor)
+    spectrum = _spectrum_in_place(S)[::-1]
+    S.setflags(write=False)
+    return VarianceProfile(N=S.shape[0], S=S, spectrum=spectrum, descriptor=descriptor)
 
 
 def _spectrum_in_place(S: np.ndarray) -> np.ndarray:

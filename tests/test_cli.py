@@ -755,6 +755,28 @@ run:
 """
 
 
+def test_yaml_exponent_literals_are_numbers(tmp_path, capsys):
+    # PyYAML follows YAML 1.1, which reads 1e-1 and 2e1 as strings; they must give the bytes
+    # of the same numbers in JSON, while a quoted '1e-1' stays a string
+    yaml_cfg = write_config(tmp_path, """
+    ensemble:
+      profile: {type: flat, N: 2e1}
+      diag: {family: two_point, p: 1e-1}
+    testfn: x2
+    """)
+    json_cfg = tmp_path / "exp.json"
+    json_cfg.write_text(json.dumps({"ensemble": {"profile": {"type": "flat", "N": 20},
+                                                 "diag": {"family": "two_point", "p": 0.1}},
+                                    "testfn": "x2"}))
+    for cfg, out in ((yaml_cfg, "y"), (str(json_cfg), "j")):
+        assert cli.main(["predict", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "y" / "prediction.json").read_bytes() == (tmp_path / "j" / "prediction.json").read_bytes()
+    capsys.readouterr()
+    quoted = write_config(tmp_path, Path(yaml_cfg).read_text().replace("p: 1e-1", "p: '1e-1'"), "quoted.yaml")
+    assert cli.main(["predict", "--config", quoted]) == 2
+    assert "p must be a finite real number, got '1e-1'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, good, bad, key", [
     ("simulate", "lambda_grid: [0, 0.5]", "lambda_grid: '12'", "lambda_grid"),
     ("simulate", "lambda_grid: [0, 0.5]", "lambda_grid: [true, 0.5]", "lambda_grid"),

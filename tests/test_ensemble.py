@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -264,6 +265,26 @@ def test_beta_validation():
     for beta in (3, True, 1.5):   # True == 1, so only the integer rule rejects it
         with pytest.raises(ValueError):
             en.EnsembleSpec(beta, pf.profile_flat(4), en.gaussian(), en.gaussian())
+
+
+def test_specs_and_profiles_cannot_change_after_their_checks(tmp_path):
+    # beta = 3 used to draw complex matrices scaled as at beta = 1, a new profile kept the old
+    # cached scales, and a written S broke the doubly stochastic S its spectrum was solved for
+    spec = en.EnsembleSpec(2, pf.profile_flat(10), en.gaussian(), en.gaussian())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.beta = 3
+    en.sample(spec, (1, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.profile = pf.profile_flat(12)
+    assert spec.beta == 2 and en.sample(spec, (1, 0)).shape == (10, 10)
+    p = pf.profile_random_ds(12, 3)
+    pf.profile_to_csv(p, tmp_path / "S.csv")
+    for q in (p, pf.profile_from_csv(tmp_path / "S.csv"), pf.VarianceProfile.from_matrix(p.S)):
+        with pytest.raises(ValueError, match="read-only"):
+            q.S[0, 1] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.S = np.full((12, 12), 1.0 / 12)
+    assert p.S.tobytes() == pf.profile_random_ds(12, 3).S.tobytes()
 
 
 @pytest.mark.parametrize("beta", [1, 2])

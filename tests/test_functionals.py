@@ -52,13 +52,26 @@ def test_variance_pure_mode():
         assert fl.variance_series(t, p, s, 2) == pytest.approx(j / 4.0, abs=1e-10)
 
 
-def test_variance_series_details():
+def test_negligible_checks_both_halves_of_the_last_decade():
+    # x2 has no coefficient past t_2, so its last decade at J = 16 carries nothing
     p = pf.profile_flat(10)
     t = tf.cheb_coeffs(FX2, J=16)
-    V, details = fl.variance_series(t, p, make_summary(p), 1, return_details=True)
-    assert details["value"] == V
-    assert details["last_decade_fraction"] == pytest.approx(0.0, abs=1e-20)
-    assert not details["tail_warning"]
+    tp = pf.trace_powers(p, 16)
+    assert fl._negligible(t, tp, 1, fl._variance(t, tp, make_summary(p), 1))
+    # logim(0.3,0.05) on band(300, 12) at J = 512: the last decade is negligible in V at either
+    # beta, but its terms of E's beta = 1 profile sum are not, so only beta = 1 doubles J again
+    p = pf.profile_band(300, 12)
+    f = tf.from_name("logim(0.3,0.05)")
+    t = tf.cheb_coeffs(f, J=512, M=2048)
+    tp = pf.trace_powers(p, 512)
+    terms = fl._variance_terms(t, tp)
+    assert np.sum(terms[int(0.9 * 512) - 1:]) <= fl._LAST_DECADE_FRACTION * np.sum(terms)
+    for beta, negligible, J in ((1, False, 1024), (2, True, 512)):
+        s = make_summary(p, beta, diag=en.two_point(0.1))
+        V = fl._variance(t, tp, s, beta)
+        assert V == fl.variance_series(t, p, s, beta)
+        assert fl._negligible(t, tp, beta, V) is negligible
+        assert fl.clt_prediction(f, p, s, beta).J == J
 
 
 def test_variance_paths_agree():
